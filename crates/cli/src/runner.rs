@@ -17,6 +17,7 @@ use crate::job::{job_matrix, JobRuntime, RuntimeCache};
 use crate::manifest::Manifest;
 use parking_lot::Mutex;
 use qufi_core::fault::{FaultGrid, InjectionPoint};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -181,25 +182,20 @@ pub fn run_campaign(
     prepare_span.finish();
     qufi_obs::add("campaign.points_resumed", points_resumed as u64);
 
-    // Fan pending (job, point) tasks across the pool.
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, InjectionPoint)>();
-    let mut total_pending = 0usize;
-    for (job_idx, job) in jobs.iter().enumerate() {
-        for &point in &job.pending {
-            tx.send((job_idx, point)).expect("queue open");
-            total_pending += 1;
-        }
-    }
-    drop(tx);
+    // Fan pending (job, point) units across the shared point pool.
+    let units: Vec<(usize, InjectionPoint)> = jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(job_idx, job)| job.pending.iter().map(move |&point| (job_idx, point)))
+        .collect();
+    let total_pending = units.len();
 
     let budget = opts.point_budget.unwrap_or(usize::MAX);
     let executed = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let first_error: Mutex<Option<CliError>> = Mutex::new(None);
-    // Two-level split of the thread budget: point workers pull (job, point)
-    // tasks from the queue; each point fans its fault grid across the
-    // leftover per-worker threads. Results are byte-identical for every
-    // split (and every budget), so this is purely a scheduling choice.
+    // Two-level split of the thread budget: point workers claim (job,
+    // point) units; each point fans its fault grid across the leftover
+    // per-worker threads. Results are byte-identical for every split (and
+    // every budget), so this is purely a scheduling choice.
     let (n_threads, grid_threads) =
         qufi_core::campaign::split_thread_budget(resolve_threads(manifest, opts), total_pending);
     if !opts.quiet && total_pending > 0 {
@@ -210,70 +206,40 @@ pub fn run_campaign(
     }
 
     let execute_span = qufi_obs::span("campaign.execute_ns");
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let jobs = &jobs;
-            let grid = &grid;
-            let store = &store;
-            let executed = &executed;
-            let stopped = &stopped;
-            let first_error = &first_error;
-            scope.spawn(move || {
-                while let Ok((job_idx, point)) = rx.recv() {
-                    if stopped.load(Ordering::SeqCst) || first_error.lock().is_some() {
-                        break;
-                    }
-                    if opts.cancel_requested() {
-                        stopped.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    // Claim budget before running so an exhausted budget
-                    // never executes (and never checkpoints) extra work.
-                    if executed.fetch_add(1, Ordering::SeqCst) >= budget {
-                        executed.fetch_sub(1, Ordering::SeqCst);
-                        stopped.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    let job = &jobs[job_idx];
-                    let _job_label = qufi_obs::job_scope(&job.meta.id);
-                    match job.runtime.run_point_split(point, grid, grid_threads) {
-                        Ok(shard) => {
-                            let guard = job.append_lock.lock();
-                            if let Err(e) = store.append_records(&job.meta.id, &shard) {
-                                first_error.lock().get_or_insert(e);
-                                break;
-                            }
-                            drop(guard);
-                            // Chaos site: abort *after* a durable append —
-                            // the crash-recovery tests' mid-campaign kill.
-                            crate::chaos::kill_point("runner.append");
-                            let done = job.done.fetch_add(1, Ordering::SeqCst) + 1;
-                            if !opts.quiet {
-                                report_progress(&job.meta, done);
-                            }
-                        }
-                        Err(e) => {
-                            first_error.lock().get_or_insert(CliError::Exec(e));
-                            break;
-                        }
-                    }
-                }
-                // Merge telemetry before the closure returns: the scope's
-                // exit synchronizes with closure completion, not with TLS
-                // destructors, so at-exit merging would race the snapshot
-                // taken after the scope.
-                qufi_obs::flush();
-            });
-        }
-    });
+    let pooled = qufi_core::campaign::run_units(
+        &units,
+        n_threads,
+        || (),
+        |(), &(job_idx, point)| {
+            if opts.cancel_requested() {
+                return Ok(ControlFlow::Break(()));
+            }
+            // Claim budget before running so an exhausted budget never
+            // executes (and never checkpoints) extra work.
+            if executed.fetch_add(1, Ordering::SeqCst) >= budget {
+                executed.fetch_sub(1, Ordering::SeqCst);
+                return Ok(ControlFlow::Break(()));
+            }
+            let job = &jobs[job_idx];
+            let _job_label = qufi_obs::job_scope(&job.meta.id);
+            let shard = job.runtime.run_point_split(point, &grid, grid_threads)?;
+            {
+                let _guard = job.append_lock.lock();
+                store.append_records(&job.meta.id, &shard)?;
+            }
+            // Chaos site: abort *after* a durable append — the
+            // crash-recovery tests' mid-campaign kill.
+            crate::chaos::kill_point("runner.append");
+            let done = job.done.fetch_add(1, Ordering::SeqCst) + 1;
+            if !opts.quiet {
+                report_progress(&job.meta, done);
+            }
+            Ok::<_, CliError>(ControlFlow::Continue(()))
+        },
+    );
     execute_span.finish();
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-
-    let status = if stopped.into_inner() {
+    let status = if pooled?.stopped {
         RunStatus::Interrupted
     } else {
         RunStatus::Complete
@@ -368,12 +334,7 @@ pub fn dry_run_plan(manifest: &Manifest, opts: &RunOptions) -> Result<String, Cl
 }
 
 fn resolve_threads(manifest: &Manifest, opts: &RunOptions) -> usize {
-    match opts.threads.unwrap_or(manifest.threads) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
+    qufi_core::campaign::resolve_threads(opts.threads.unwrap_or(manifest.threads))
 }
 
 /// Points whose full grid is present in the checkpointed records.

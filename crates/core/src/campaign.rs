@@ -3,7 +3,9 @@
 //! A campaign sweeps every injection point of a circuit (after each gate,
 //! on each operand qubit) across the φ/θ fault grid, executes each faulty
 //! circuit, and records the QVF. Points are independent, so the work is
-//! distributed over a thread pool fed by a `crossbeam` channel.
+//! distributed over [`run_units`], the point pool every campaign driver
+//! shares: this module, [`crate::double`] and the `qufi` CLI's
+//! checkpointed runner.
 //!
 //! Execution goes through the forked-state sweep engine
 //! ([`crate::engine`]): each point transpiles and evolves its circuit
@@ -19,6 +21,8 @@ use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, Injection
 use crate::metrics::{mean, qvf_from_dist, stddev, Severity};
 use parking_lot::Mutex;
 use qufi_sim::QuantumCircuit;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// One executed injection and its measured QVF.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,15 +78,15 @@ impl CampaignOptions {
             ..Self::default()
         }
     }
+}
 
-    fn resolve_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+/// A thread budget with `0` meaning every available core.
+pub fn resolve_threads(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
     }
 }
 
@@ -360,7 +364,7 @@ pub fn run_point_sweep_naive<E: SweepExecutor + ?Sized>(
     let mut out = Vec::with_capacity(grid.len());
     for (theta, phi) in grid.iter() {
         let fault = FaultParams::shift(theta, phi);
-        let dist = prepared.replay_naive(fault)?;
+        let dist = prepared.replay_naive(&[fault])?;
         out.push(InjectionRecord {
             point,
             theta,
@@ -392,60 +396,104 @@ pub fn run_single_campaign<E: SweepExecutor>(
         .unwrap_or_else(|| enumerate_injection_points(qc));
     let baseline_qvf = qvf_from_dist(&executor.execute(qc)?, golden);
 
-    // One task per injection point; each task sweeps the whole grid, which
-    // amortizes scheduling overhead over ~312 executions.
-    let (tx, rx) = crossbeam::channel::unbounded::<InjectionPoint>();
-    for &p in &points {
-        tx.send(p).expect("queue open");
-    }
-    drop(tx);
-
-    let records = Mutex::new(Vec::with_capacity(points.len() * options.grid.len()));
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    // Two-level split: point workers pull from the queue; each point fans
-    // its grid across the leftover per-worker budget.
-    let (n_threads, grid_threads) = split_thread_budget(options.resolve_threads(), points.len());
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let records = &records;
-            let first_error = &first_error;
-            let grid = &options.grid;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(point) = rx.recv() {
-                    if first_error.lock().is_some() {
-                        return;
-                    }
-                    let sweep = if options.naive {
-                        run_point_sweep_naive(qc, golden, executor, point, grid)
-                    } else {
-                        run_point_sweep_parallel(qc, golden, executor, point, grid, grid_threads)
-                    };
-                    match sweep {
-                        Ok(records) => local.extend(records),
-                        Err(e) => {
-                            first_error.lock().get_or_insert(e);
-                            return;
-                        }
-                    }
-                }
-                records.lock().extend(local);
-            });
-        }
-    });
-
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
+    // One unit per injection point; each sweeps the whole grid, which
+    // amortizes scheduling overhead over ~312 executions. Two-level split:
+    // point workers claim units; each point fans its grid across the
+    // leftover per-worker budget.
+    let (workers, grid_threads) =
+        split_thread_budget(resolve_threads(options.threads), points.len());
+    let pooled = run_units(&points, workers, Vec::new, |records, &point| {
+        records.extend(if options.naive {
+            run_point_sweep_naive(qc, golden, executor, point, &options.grid)?
+        } else {
+            run_point_sweep_parallel(qc, golden, executor, point, &options.grid, grid_threads)?
+        });
+        Ok::<_, ExecError>(ControlFlow::Continue(()))
+    })?;
     Ok(CampaignResult::from_parts(
         qc.name.clone(),
         golden.to_vec(),
         baseline_qvf,
         options.grid.clone(),
-        records.into_inner(),
+        pooled.states.into_iter().flatten().collect(),
     ))
+}
+
+/// What a [`run_units`] pool left behind.
+#[derive(Debug)]
+pub struct Pooled<S> {
+    /// Each worker's state after its last unit, in worker order.
+    pub states: Vec<S>,
+    /// A unit returned [`ControlFlow::Break`], so later units never ran.
+    pub stopped: bool,
+}
+
+/// The point pool behind every campaign driver: `workers` scoped threads
+/// claim `units` in order, each folding the units it claims into its own
+/// state, made by `init` — records, a [`ReplayScratch`](crate::engine::ReplayScratch),
+/// or nothing.
+///
+/// Once a unit returns an error or [`ControlFlow::Break`] (a budget or a
+/// cancel), no worker claims another unit; units already claimed finish.
+/// Every worker flushes its `qufi-obs` telemetry before the scope ends, so
+/// a snapshot taken after this returns sees all of it.
+///
+/// # Errors
+///
+/// The first error a unit returned; the workers' states are dropped.
+pub fn run_units<U, S, E>(
+    units: &[U],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &U) -> Result<ControlFlow<()>, E> + Sync,
+) -> Result<Pooled<S>, E>
+where
+    U: Sync,
+    S: Send,
+    E: Send,
+{
+    let next = AtomicUsize::new(0);
+    let halt = AtomicBool::new(false);
+    let first_error: Mutex<Option<E>> = Mutex::new(None);
+    let states = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1).min(units.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    while !halt.load(Ordering::SeqCst) {
+                        let Some(unit) = units.get(next.fetch_add(1, Ordering::SeqCst)) else {
+                            break;
+                        };
+                        match work(&mut state, unit) {
+                            Ok(ControlFlow::Continue(())) => {}
+                            Ok(ControlFlow::Break(())) => halt.store(true, Ordering::SeqCst),
+                            Err(e) => {
+                                first_error.lock().get_or_insert(e);
+                                halt.store(true, Ordering::SeqCst);
+                            }
+                        }
+                    }
+                    // Merge telemetry before the closure returns: the
+                    // scope's exit synchronizes with closure completion,
+                    // not with TLS destructors, so at-exit merging would
+                    // race a snapshot taken after the scope.
+                    qufi_obs::flush();
+                    state
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign worker panicked"))
+            .collect()
+    });
+    match first_error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(Pooled {
+            states,
+            stopped: halt.into_inner(),
+        }),
+    }
 }
 
 #[cfg(test)]

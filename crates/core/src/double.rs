@@ -6,13 +6,14 @@
 //! qubit **physically adjacent** to the first after transpilation — the
 //! candidate pairs come from [`neighbor_pairs`].
 
-use crate::engine::SweepExecutor;
+use crate::campaign::{resolve_threads, run_units};
+use crate::engine::{ReplayScratch, SweepExecutor};
 use crate::error::ExecError;
 use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
 use crate::metrics::{mean, qvf_from_dist, stddev};
-use parking_lot::Mutex;
 use qufi_sim::QuantumCircuit;
 use qufi_transpile::Transpiler;
+use std::ops::ControlFlow;
 
 /// One executed double injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,8 +145,9 @@ pub fn neighbor_pairs(
 /// Runs a double-fault campaign: first fault on each injection point whose
 /// qubit belongs to a pair, second fault on the paired neighbour, sweeping
 /// `θ1 ≤ θ0`, `φ1 ≤ φ0` on the same angle lattice. Each (point, neighbor)
-/// item is prepared once through the forked-state engine; the quadratic
-/// fault lattice replays from the snapshot.
+/// item is prepared once through the forked-state engine as a two-site
+/// sweep; the quadratic fault lattice replays from the snapshot through
+/// one [`ReplayScratch`] per worker of the shared [`run_units`] pool.
 ///
 /// # Errors
 ///
@@ -173,84 +175,44 @@ pub fn run_double_campaign<E: SweepExecutor>(
         }
     }
 
-    let (tx, rx) = crossbeam::channel::unbounded::<(InjectionPoint, usize)>();
-    for item in &items {
-        tx.send(*item).expect("queue open");
-    }
-    drop(tx);
-
-    let records = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let n_threads = if options.threads > 0 {
-        options.threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    .min(items.len().max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let rx = rx.clone();
-            let records = &records;
-            let first_error = &first_error;
-            let grid = &options.grid;
-            let naive = options.naive;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok((point, neighbor)) = rx.recv() {
-                    if first_error.lock().is_some() {
-                        return;
-                    }
-                    let prepared = match executor.prepare_double(qc, point, neighbor) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            first_error.lock().get_or_insert(e);
-                            return;
-                        }
-                    };
-                    for &phi0 in &grid.phis {
-                        for &theta0 in &grid.thetas {
-                            for &phi1 in grid.phis.iter().filter(|&&p| p <= phi0 + 1e-12) {
-                                for &theta1 in grid.thetas.iter().filter(|&&t| t <= theta0 + 1e-12)
-                                {
-                                    let first = FaultParams::shift(theta0, phi0);
-                                    let second = FaultParams::shift(theta1, phi1);
-                                    let dist = if naive {
-                                        prepared.replay_naive(first, second)
-                                    } else {
-                                        prepared.replay(first, second)
-                                    };
-                                    match dist {
-                                        Ok(dist) => local.push(DoubleInjectionRecord {
-                                            point,
-                                            neighbor,
-                                            theta0,
-                                            phi0,
-                                            theta1,
-                                            phi1,
-                                            qvf: qvf_from_dist(&dist, golden),
-                                        }),
-                                        Err(e) => {
-                                            first_error.lock().get_or_insert(e);
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
+    let grid = &options.grid;
+    let pooled = run_units(
+        &items,
+        resolve_threads(options.threads),
+        || (Vec::new(), ReplayScratch::new()),
+        |(records, scratch), &(point, neighbor)| {
+            let prepared = executor.prepare_sites(qc, point, Some(neighbor))?;
+            for &phi0 in &grid.phis {
+                for &theta0 in &grid.thetas {
+                    for &phi1 in grid.phis.iter().filter(|&&p| p <= phi0 + 1e-12) {
+                        for &theta1 in grid.thetas.iter().filter(|&&t| t <= theta0 + 1e-12) {
+                            let faults = [
+                                FaultParams::shift(theta0, phi0),
+                                FaultParams::shift(theta1, phi1),
+                            ];
+                            let dist = if options.naive {
+                                prepared.replay_naive(&faults)?
+                            } else {
+                                prepared.replay_with(&faults, scratch)?
+                            };
+                            records.push(DoubleInjectionRecord {
+                                point,
+                                neighbor,
+                                theta0,
+                                phi0,
+                                theta1,
+                                phi1,
+                                qvf: qvf_from_dist(&dist, golden),
+                            });
                         }
                     }
                 }
-                records.lock().extend(local);
-            });
-        }
-    });
-
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    let mut records: Vec<DoubleInjectionRecord> = records.into_inner();
+            }
+            Ok::<_, ExecError>(ControlFlow::Continue(()))
+        },
+    )?;
+    let mut records: Vec<DoubleInjectionRecord> =
+        pooled.states.into_iter().flat_map(|(r, _)| r).collect();
     records.sort_by(|a, b| {
         (a.point, a.neighbor, a.phi0, a.theta0, a.phi1, a.theta1)
             .partial_cmp(&(b.point, b.neighbor, b.phi0, b.theta0, b.phi1, b.theta1))

@@ -14,6 +14,13 @@
 //!    the parked state, applies the injector gate (which suffers gate noise
 //!    like any physical gate), finishes the suffix, and reads out.
 //!
+//! A sweep has k splice sites, one injector each: k = 1 for a single
+//! fault, k = 2 for the multi-qubit strike of §III-C, whose second, weaker
+//! injector lands on a neighboring qubit at the same position
+//! ([`SweepExecutor::prepare_sites`]). A configuration is one
+//! [`FaultParams`] per site, and one check guards every replay entry point
+//! of every executor (see [`PreparedSweep`]).
+//!
 //! Because the prefix/suffix evolution applies exactly the same operation
 //! sequence as a straight run (see [`qufi_noise::simulate::NoisyCursor`]),
 //! a replay is **bit-identical** to the naive rebuild — a guarantee pinned
@@ -50,14 +57,15 @@ use qufi_sim::{
     BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, Op, ProbDist,
     QuantumCircuit, Statevector,
 };
+use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// An [`Executor`] that can split a fault sweep into per-point preparation
 /// and per-configuration replay.
 pub trait SweepExecutor: Executor {
-    /// Prepares a single-fault sweep at `point`: transpile once, evolve
-    /// the shared prefix once, park the state.
+    /// Prepares a single-fault sweep (k = 1) at `point`: transpile once,
+    /// evolve the shared prefix once, park the state.
     ///
     /// # Errors
     ///
@@ -66,39 +74,34 @@ pub trait SweepExecutor: Executor {
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
-    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError>;
+    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
+        self.prepare_sites(qc, point, None)
+    }
 
-    /// Prepares a double-fault sweep: the first fault at `point`, the
-    /// second on `neighbor` at the same position (§III-C).
+    /// Prepares a sweep with a splice site at `point` and, given a
+    /// `neighbor`, a second one on that qubit at the same position — the
+    /// double fault of §III-C (k = 2). `None` is [`SweepExecutor::prepare`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`SweepExecutor::prepare`], plus an invalid
-    /// neighbor.
-    fn prepare_double<'a>(
+    /// Same failure modes as [`SweepExecutor::prepare`], plus a neighbor
+    /// that is out of range or equal to `point.qubit`.
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError>;
+        neighbor: Option<usize>,
+    ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError>;
 }
 
 impl<E: SweepExecutor + ?Sized> SweepExecutor for &E {
-    fn prepare<'a>(
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
+        neighbor: Option<usize>,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        (**self).prepare(qc, point)
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        (**self).prepare_double(qc, point, neighbor)
+        (**self).prepare_sites(qc, point, neighbor)
     }
 }
 
@@ -130,21 +133,33 @@ impl ReplayScratch {
     }
 }
 
-/// A parked single-fault sweep: replay any `(θ, φ)` against the snapshot.
+/// A parked k-site sweep: replay any fault configuration against the
+/// snapshot.
+///
+/// A configuration is a slice of one [`FaultParams`] per splice site, in
+/// program order: the struck qubit first, then the neighbor of a double
+/// fault. Every replay entry point rejects any other slice with
+/// [`ExecError::InvalidFault`] before simulating anything: a length other
+/// than [`PreparedSweep::sites`], or a fault stronger than the one before
+/// it (§III-C, [`check_fault_order`]).
 ///
 /// Implementations are `Sync`: replays only *borrow* the parked snapshot
 /// (each one copies it into caller-owned [`ReplayScratch`] buffers), so any
 /// number of threads may replay concurrently against one prepared sweep —
 /// the foundation of [`PreparedSweep::replay_grid`].
 pub trait PreparedSweep: Sync {
+    /// Splice sites k: the length of every fault slice a replay takes.
+    fn sites(&self) -> usize;
+
     /// Fast path: fork the parked prefix state and finish the suffix with
-    /// the injector spliced in.
+    /// one injector spliced in per site.
     ///
     /// # Errors
     ///
-    /// Simulation failures.
-    fn replay(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.replay_with(fault, &mut ReplayScratch::new())
+    /// [`ExecError::InvalidFault`] for a bad fault slice; simulation
+    /// failures.
+    fn replay(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        self.replay_with(faults, &mut ReplayScratch::new())
     }
 
     /// [`PreparedSweep::replay`] through caller-owned scratch buffers: the
@@ -155,10 +170,10 @@ pub trait PreparedSweep: Sync {
     ///
     /// # Errors
     ///
-    /// Simulation failures.
+    /// Same failure modes as [`PreparedSweep::replay`].
     fn replay_with(
         &self,
-        fault: FaultParams,
+        faults: &[FaultParams],
         scratch: &mut ReplayScratch,
     ) -> Result<ProbDist, ExecError>;
 
@@ -169,12 +184,13 @@ pub trait PreparedSweep: Sync {
     ///
     /// # Errors
     ///
-    /// Simulation and transpilation failures.
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError>;
+    /// [`ExecError::InvalidFault`] for a bad fault slice; simulation and
+    /// transpilation failures.
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError>;
 
-    /// Replays the entire `(θ, φ)` grid, chunked deterministically across
-    /// `threads` worker threads, returning one distribution per cell **in
-    /// grid order** ([`FaultGrid::iter`] order).
+    /// Replays the entire `(θ, φ)` grid of single faults, chunked
+    /// deterministically across `threads` worker threads, returning one
+    /// distribution per cell **in grid order** ([`FaultGrid::iter`] order).
     ///
     /// Determinism contract: cells are assigned to workers by contiguous
     /// index ranges fixed by `grid.len()` and `threads` alone, each worker
@@ -186,9 +202,11 @@ pub trait PreparedSweep: Sync {
     ///
     /// # Errors
     ///
-    /// Any replay failure fails the whole grid (remaining workers cancel);
-    /// the reported error is from the lowest-indexed chunk that failed
-    /// before cancellation took effect.
+    /// [`ExecError::InvalidFault`] before any replay when the sweep has
+    /// k ≠ 1 sites, since a grid cell is one fault. Any replay failure
+    /// fails the whole grid (remaining workers cancel); the reported error
+    /// is from the lowest-indexed chunk that failed before cancellation
+    /// took effect.
     fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
         replay_grid_chunked(self, grid, threads)
     }
@@ -207,9 +225,9 @@ pub trait PreparedSweep: Sync {
     ///
     /// The width is read from `QUFI_BATCH_CELLS` per call (default 16,
     /// clamped to `1..=`[`qufi_sim::MAX_BATCH_CELLS`]). Width 1 — the CLI's
-    /// `--no-batch` — grids too small to batch, multi-site sweeps, and
-    /// scenarios without a batched path (trajectory) all take the scalar
-    /// per-cell fan-out instead.
+    /// `--no-batch` — grids too small to batch, and scenarios without a
+    /// batched path (trajectory) all take the scalar per-cell fan-out
+    /// instead.
     ///
     /// # Errors
     ///
@@ -225,8 +243,35 @@ pub trait PreparedSweep: Sync {
     /// Gates evolved once at preparation time (the shared prefix).
     fn prefix_gates(&self) -> usize;
 
-    /// Gates evolved per replay (the suffix, excluding the injector).
+    /// Gates evolved per replay (the suffix, excluding the injectors).
     fn suffix_gates(&self) -> usize;
+}
+
+/// The check every replay's fault slice passes, for every executor and
+/// both the fast and the naive paths: one fault per splice site, each no
+/// stronger than the one before it (§III-C).
+fn check_faults(sites: usize, faults: &[FaultParams]) -> Result<(), ExecError> {
+    if faults.len() != sites {
+        return Err(ExecError::InvalidFault(format!(
+            "{} fault(s) given to a sweep with {sites} splice site(s)",
+            faults.len()
+        )));
+    }
+    faults
+        .windows(2)
+        .try_for_each(|pair| check_fault_order(pair[0], pair[1]))
+}
+
+/// Grid replays inject one fault per cell, so they need a single-site
+/// sweep.
+fn check_grid_sites(sites: usize) -> Result<(), ExecError> {
+    if sites == 1 {
+        Ok(())
+    } else {
+        Err(ExecError::InvalidFault(format!(
+            "a fault grid replays single faults, but this sweep has {sites} splice sites"
+        )))
+    }
 }
 
 /// The deterministic fan-out behind [`PreparedSweep::replay_grid`].
@@ -235,6 +280,7 @@ fn replay_grid_chunked<S: PreparedSweep + ?Sized>(
     grid: &FaultGrid,
     threads: usize,
 ) -> Result<Vec<ProbDist>, ExecError> {
+    check_grid_sites(sweep.sites())?;
     let cells: Vec<FaultParams> = grid
         .iter()
         .map(|(theta, phi)| FaultParams::shift(theta, phi))
@@ -250,7 +296,7 @@ fn replay_grid_chunked<S: PreparedSweep + ?Sized>(
         let mut scratch = ReplayScratch::new();
         let dists: Result<Vec<ProbDist>, ExecError> = cells
             .iter()
-            .map(|&fault| sweep.replay_with(fault, &mut scratch))
+            .map(|fault| sweep.replay_with(std::slice::from_ref(fault), &mut scratch))
             .collect();
         if dists.is_ok() {
             qufi_obs::add("replay.cells", cells.len() as u64);
@@ -272,13 +318,13 @@ fn replay_grid_chunked<S: PreparedSweep + ?Sized>(
             scope.spawn(move || {
                 let mut scratch = ReplayScratch::new();
                 let mut completed: u64 = 0;
-                for (slot, &fault) in slots.iter_mut().zip(faults) {
+                for (slot, fault) in slots.iter_mut().zip(faults) {
                     // A failure anywhere aborts the whole grid; stop
                     // burning replays whose results would be discarded.
                     if failed.load(std::sync::atomic::Ordering::Relaxed) {
                         break;
                     }
-                    match sweep.replay_with(fault, &mut scratch) {
+                    match sweep.replay_with(std::slice::from_ref(fault), &mut scratch) {
                         Ok(dist) => {
                             *slot = Some(dist);
                             completed += 1;
@@ -353,6 +399,7 @@ fn replay_grid_scalar_fallback<S: PreparedSweep + ?Sized>(
     grid: &FaultGrid,
     threads: usize,
 ) -> Result<Vec<ProbDist>, ExecError> {
+    check_grid_sites(sweep.sites())?;
     qufi_obs::add("replay.batch.scalar_fallback", grid.len() as u64);
     sweep.replay_grid(grid, threads)
 }
@@ -466,22 +513,128 @@ where
         .collect()
 }
 
-/// A parked double-fault sweep.
-pub trait PreparedDoubleSweep {
-    /// Fast path for a `(first, second)` fault pair.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::InvalidFault`] when the second fault exceeds the
-    /// first; simulation failures otherwise.
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError>;
+/// One executor's parked k-site sweep, beneath the fault-slice check:
+/// [`Checked`] is the one [`PreparedSweep`] implementation, and it calls
+/// these methods only with exactly one fault per site in §III-C order.
+trait SiteSweep: Sync {
+    /// Splice sites of the replayed circuit, in program order.
+    fn sites(&self) -> &[SpliceSite];
 
-    /// Oracle path: full rebuild per fault pair.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`PreparedDoubleSweep::replay`].
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError>;
+    /// The circuit replays run on, and the instruction index its prefix
+    /// is parked at.
+    fn parked(&self) -> (&QuantumCircuit, usize);
+
+    /// Fast path through caller-owned scratch buffers.
+    fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist;
+
+    /// Oracle path: rebuild and re-simulate the whole faulty circuit.
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError>;
+
+    /// Flat amplitude count of one cell's state, for scenarios with a
+    /// batched grid path; `None` keeps grids on the scalar fan-out.
+    fn batch_len(&self) -> Option<usize> {
+        None
+    }
+
+    /// One θ-sorted block of the batched grid replay; only called when
+    /// [`SiteSweep::batch_len`] is `Some`.
+    fn replay_block(&self, _faults: &[FaultParams]) -> Vec<ProbDist> {
+        unreachable!("replay_block on a sweep without a batched path")
+    }
+}
+
+/// The [`PreparedSweep`] every executor returns: checks each fault slice,
+/// then hands the replay to the executor's [`SiteSweep`].
+struct Checked<S>(S);
+
+impl<S: SiteSweep> PreparedSweep for Checked<S> {
+    fn sites(&self) -> usize {
+        self.0.sites().len()
+    }
+
+    fn replay_with(
+        &self,
+        faults: &[FaultParams],
+        scratch: &mut ReplayScratch,
+    ) -> Result<ProbDist, ExecError> {
+        check_faults(self.sites(), faults)?;
+        Ok(self.0.replay(faults, scratch))
+    }
+
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        check_faults(self.sites(), faults)?;
+        self.0.replay_naive(faults)
+    }
+
+    fn replay_grid_batched(
+        &self,
+        grid: &FaultGrid,
+        threads: usize,
+    ) -> Result<Vec<ProbDist>, ExecError> {
+        // A block splices one injector per cell right at the parked prefix.
+        let sites = self.0.sites();
+        let batchable = sites.len() == 1 && sites[0].index == self.0.parked().1;
+        match self
+            .0
+            .batch_len()
+            .filter(|_| batchable)
+            .and_then(|flat_len| effective_batch_width(flat_len, grid.len()))
+        {
+            Some(width) => Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
+                self.0.replay_block(faults)
+            })),
+            None => replay_grid_scalar_fallback(self, grid, threads),
+        }
+    }
+
+    fn prefix_gates(&self) -> usize {
+        let (circuit, pos) = self.0.parked();
+        gates_in(circuit, 0..pos)
+    }
+
+    fn suffix_gates(&self) -> usize {
+        let (circuit, pos) = self.0.parked();
+        gates_in(circuit, pos..circuit.size())
+    }
+}
+
+/// Marks a sweep's splice sites in a logical circuit — the strike at
+/// `point`, then `neighbor` for a double fault — and returns the marked
+/// circuit with its site count k.
+fn mark_sites(
+    qc: &QuantumCircuit,
+    point: InjectionPoint,
+    neighbor: Option<usize>,
+) -> Result<(QuantumCircuit, usize), ExecError> {
+    Ok(match neighbor {
+        None => (mark_injection_site(qc, point)?, 1),
+        Some(n) => (mark_double_injection_site(qc, point, n)?, 2),
+    })
+}
+
+/// Transpiles a marked circuit, compacts it onto its active physical
+/// qubits and strips the `n_sites` splice markers: returns the physical
+/// circuit, its splice sites and the active qubits. Preparation runs this
+/// once per point; the naive oracles rerun it per replay.
+fn transpile_marked(
+    transpiler: &Transpiler,
+    marked: &QuantumCircuit,
+    n_sites: usize,
+) -> Result<(QuantumCircuit, Vec<SpliceSite>, Vec<usize>), ExecError> {
+    let transpile_span = qufi_obs::span("prepare.transpile_ns");
+    let result = transpiler.run(marked)?;
+    transpile_span.finish();
+    let compact_span = qufi_obs::span("prepare.compact_ns");
+    let active = result.active_physical_qubits();
+    let (physical, sites) = extract_splice_sites(&compact_circuit(result.circuit(), &active));
+    compact_span.finish();
+    if sites.len() != n_sites {
+        return Err(ExecError::Engine(format!(
+            "expected {n_sites} splice markers after transpilation, found {}",
+            sites.len()
+        )));
+    }
+    Ok((physical, sites, active))
 }
 
 /// Splices injector gates into a circuit at the given sites (ascending
@@ -551,8 +704,18 @@ impl IdealPrepared {
             prefix,
         })
     }
+}
 
-    fn replay_faults(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
+impl SiteSweep for IdealPrepared {
+    fn sites(&self) -> &[SpliceSite] {
+        &self.sites
+    }
+
+    fn parked(&self) -> (&QuantumCircuit, usize) {
+        (&self.circuit, self.prefix.position())
+    }
+
+    fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
         // Borrow the parked snapshot: restore it into the scratch
         // statevector (reusing its buffer) instead of cloning per replay.
         let sv = match scratch.sv.as_mut() {
@@ -572,15 +735,18 @@ impl IdealPrepared {
         sv.measurement_distribution(&self.circuit)
     }
 
-    fn replay_faults_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
         let faulty = splice_faults(&self.circuit, &self.sites, faults);
         let sv = Statevector::from_circuit(&faulty).map_err(ExecError::Sim)?;
         Ok(sv.measurement_distribution(&faulty))
     }
 
-    /// One θ-sorted block of the batched grid replay: broadcast the parked
-    /// prefix into the block, apply each cell's injector, evolve the shared
-    /// suffix once across all cells.
+    fn batch_len(&self) -> Option<usize> {
+        Some(self.prefix.state().amplitudes().len())
+    }
+
+    /// Broadcasts the parked prefix into the block, applies each cell's
+    /// injector, and evolves the shared suffix once across all cells.
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let site = &self.sites[0];
         let mats = injector_matrices(faults);
@@ -593,88 +759,23 @@ impl IdealPrepared {
     }
 }
 
-impl PreparedSweep for IdealPrepared {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.replay_faults(&[fault], scratch))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.replay_faults_naive(&[fault])
-    }
-
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        let batchable = self.sites.len() == 1 && self.prefix.position() == self.sites[0].index;
-        match effective_batch_width(self.prefix.state().amplitudes().len(), grid.len()) {
-            Some(width) if batchable => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.replay_block(faults)
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
-    }
-
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.circuit, 0..self.sites[0].index)
-    }
-
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.circuit, self.sites[0].index..self.circuit.size())
-    }
-}
-
-impl PreparedDoubleSweep for IdealPrepared {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self.replay_faults(&[first, second], &mut ReplayScratch::new()))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.replay_faults_naive(&[first, second])
-    }
-}
-
 impl SweepExecutor for IdealExecutor {
-    fn prepare<'a>(
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
+        neighbor: Option<usize>,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        check_injection_point(qc, point)?;
-        let sites = vec![SpliceSite {
-            index: point.op_index + 1,
-            qubit: point.qubit,
-        }];
-        Ok(Box::new(IdealPrepared::new(qc, sites)?))
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        check_double_site(qc, point, neighbor)?;
-        let sites = vec![
-            SpliceSite {
-                index: point.op_index + 1,
-                qubit: point.qubit,
-            },
-            SpliceSite {
-                index: point.op_index + 1,
-                qubit: neighbor,
-            },
-        ];
-        Ok(Box::new(IdealPrepared::new(qc, sites)?))
+        match neighbor {
+            None => check_injection_point(qc, point)?,
+            Some(n) => check_double_site(qc, point, n)?,
+        }
+        let index = point.op_index + 1;
+        let sites = std::iter::once(point.qubit)
+            .chain(neighbor)
+            .map(|qubit| SpliceSite { index, qubit })
+            .collect();
+        Ok(Box::new(Checked(IdealPrepared::new(qc, sites)?)))
     }
 }
 
@@ -685,7 +786,9 @@ impl SweepExecutor for IdealExecutor {
 /// Everything the noisy/hardware replay paths share for one point: the
 /// stripped compact physical circuit, its splice sites, the noise model,
 /// and the parked prefix state.
-struct PhysicalSweep {
+struct PhysicalSweep<'a> {
+    /// Re-runs the pipeline for `replay_naive`.
+    transpiler: &'a Transpiler,
     /// Marked logical circuit — `replay_naive` re-transpiles it per call.
     marked: QuantumCircuit,
     /// Stripped compact physical circuit the replays run on.
@@ -700,29 +803,16 @@ struct PhysicalSweep {
     prefix_pos: usize,
 }
 
-impl PhysicalSweep {
+impl<'a> PhysicalSweep<'a> {
     /// Transpiles a marked circuit, recovers the physical splice sites and
     /// parks the prefix evolution under `model_for(active)`.
     fn prepare(
-        transpiler: &qufi_transpile::Transpiler,
+        transpiler: &'a Transpiler,
         marked: QuantumCircuit,
         n_sites: usize,
         model_for: impl FnOnce(&[usize]) -> NoiseModel,
     ) -> Result<Self, ExecError> {
-        let transpile_span = qufi_obs::span("prepare.transpile_ns");
-        let result = transpiler.run(&marked)?;
-        transpile_span.finish();
-        let compact_span = qufi_obs::span("prepare.compact_ns");
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        compact_span.finish();
-        if sites.len() != n_sites {
-            return Err(ExecError::Engine(format!(
-                "expected {n_sites} splice markers after transpilation, found {}",
-                sites.len()
-            )));
-        }
+        let (physical, sites, active) = transpile_marked(transpiler, &marked, n_sites)?;
         let plan_span = qufi_obs::span("prepare.plan_ns");
         let model = model_for(&active);
         let plan = NoisePlan::compile(&physical, &model);
@@ -734,6 +824,7 @@ impl PhysicalSweep {
         let prefix = cursor.into_state();
         prefix_span.finish();
         Ok(PhysicalSweep {
+            transpiler,
             marked,
             physical,
             sites,
@@ -743,9 +834,19 @@ impl PhysicalSweep {
             prefix_pos,
         })
     }
+}
 
-    /// Fast path: borrow the parked state into the scratch density matrix,
-    /// splice the injectors, finish the suffix through the compiled plan.
+impl SiteSweep for PhysicalSweep<'_> {
+    fn sites(&self) -> &[SpliceSite] {
+        &self.sites
+    }
+
+    fn parked(&self) -> (&QuantumCircuit, usize) {
+        (&self.physical, self.prefix_pos)
+    }
+
+    /// Borrows the parked state into the scratch density matrix, splices
+    /// the injectors, and finishes the suffix through the compiled plan.
     fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
         let rho = match scratch.rho.take() {
             Some(mut rho) => {
@@ -765,52 +866,21 @@ impl PhysicalSweep {
         dist
     }
 
-    /// Oracle path: the full pre-engine pipeline — re-transpile the marked
-    /// circuit, splice, and simulate the whole faulty circuit from `|0…0⟩`.
-    fn replay_naive(
-        &self,
-        transpiler: &qufi_transpile::Transpiler,
-        faults: &[FaultParams],
-    ) -> Result<ProbDist, ExecError> {
-        let result = transpiler.run(&self.marked)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        if sites.len() != faults.len() {
-            return Err(ExecError::Engine(format!(
-                "expected {} splice markers after re-transpilation, found {}",
-                faults.len(),
-                sites.len()
-            )));
-        }
+    /// The full pre-engine pipeline: re-transpile the marked circuit,
+    /// splice, and simulate the whole faulty circuit from `|0…0⟩`.
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        let (physical, sites, _) = transpile_marked(self.transpiler, &self.marked, faults.len())?;
         let faulty = splice_faults(&physical, &sites, faults);
         qufi_noise::simulate::run_noisy(&faulty, &self.model).map_err(ExecError::Sim)
     }
 
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.physical, 0..self.prefix_pos)
+    fn batch_len(&self) -> Option<usize> {
+        Some(self.prefix.dim() * self.prefix.dim())
     }
 
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.physical, self.prefix_pos..self.physical.size())
-    }
-
-    /// Whether the batched single-fault path applies: exactly one splice
-    /// site, with the parked prefix advanced exactly to it.
-    fn batchable(&self) -> bool {
-        self.sites.len() == 1 && self.prefix_pos == self.sites[0].index
-    }
-
-    /// Flat amplitude count of one cell's ρ — the batched width budget is
-    /// expressed in these.
-    fn flat_len(&self) -> usize {
-        self.prefix.dim() * self.prefix.dim()
-    }
-
-    /// One θ-sorted block of the batched grid replay: broadcast the parked
-    /// prefix into the block, apply each cell's noisy injector, run the
-    /// planned suffix once across all cells, and finish each cell exactly
-    /// like [`NoisyCursor::finish_dist`].
+    /// Broadcasts the parked prefix into the block, applies each cell's
+    /// noisy injector, runs the planned suffix once across all cells, and
+    /// finishes each cell exactly like [`NoisyCursor::finish_dist`].
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let site = &self.sites[0];
         let mats = injector_matrices(faults);
@@ -843,90 +913,17 @@ impl PhysicalSweep {
     }
 }
 
-struct NoisyPrepared<'a> {
-    executor: &'a NoisyExecutor,
-    sweep: PhysicalSweep,
-}
-
-impl PreparedSweep for NoisyPrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault], scratch))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[fault])
-    }
-
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        match effective_batch_width(self.sweep.flat_len(), grid.len()) {
-            Some(width) if self.sweep.batchable() => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.sweep.replay_block(faults)
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
-    }
-
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
-    }
-
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for NoisyPrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self
-            .sweep
-            .replay(&[first, second], &mut ReplayScratch::new()))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[first, second])
-    }
-}
-
 impl SweepExecutor for NoisyExecutor {
-    fn prepare<'a>(
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
+        neighbor: Option<usize>,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        let sweep = PhysicalSweep::prepare(self.transpiler(), marked, 1, |a| self.model_for(a))?;
-        Ok(Box::new(NoisyPrepared {
-            executor: self,
-            sweep,
-        }))
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        let sweep = PhysicalSweep::prepare(self.transpiler(), marked, 2, |a| self.model_for(a))?;
-        Ok(Box::new(NoisyPrepared {
-            executor: self,
-            sweep,
-        }))
+        let (marked, n_sites) = mark_sites(qc, point, neighbor)?;
+        let sweep =
+            PhysicalSweep::prepare(self.transpiler(), marked, n_sites, |a| self.model_for(a))?;
+        Ok(Box::new(Checked(sweep)))
     }
 }
 
@@ -987,30 +984,36 @@ pub(crate) fn derive_seed(words: &[u64]) -> u64 {
     h.finish()
 }
 
-struct HardwarePrepared<'a> {
-    executor: &'a HardwareExecutor,
-    sweep: PhysicalSweep,
-    /// Base for per-configuration sampling seeds.
-    sample_base: u64,
+/// The per-point stream base of a sampling sweep: (executor seed, point,
+/// neighbor), so drift and sampling never depend on scheduling.
+fn point_seed(seed: u64, point: InjectionPoint, neighbor: Option<usize>) -> u64 {
+    derive_seed(&[
+        seed,
+        point.op_index as u64,
+        point.qubit as u64,
+        neighbor.map_or(u64::MAX, |n| n as u64),
+    ])
 }
 
-impl HardwarePrepared<'_> {
+struct HardwarePrepared<'a> {
+    sweep: PhysicalSweep<'a>,
+    /// Base for per-configuration sampling seeds.
+    sample_base: u64,
+    shots: u64,
+}
+
+impl<'a> HardwarePrepared<'a> {
     /// One calibration batch per injection point: the drifted device and
     /// the sampling-seed base derive from (executor seed, point identity),
     /// never from the executor's shared stream.
-    fn prepare<'a>(
+    fn prepare(
         executor: &'a HardwareExecutor,
-        marked: QuantumCircuit,
-        n_sites: usize,
+        qc: &QuantumCircuit,
         point: InjectionPoint,
         neighbor: Option<usize>,
-    ) -> Result<HardwarePrepared<'a>, ExecError> {
-        let mut rng = SmallRng::seed_from_u64(derive_seed(&[
-            executor.seed(),
-            point.op_index as u64,
-            point.qubit as u64,
-            neighbor.map_or(u64::MAX, |n| n as u64),
-        ]));
+    ) -> Result<Self, ExecError> {
+        let (marked, n_sites) = mark_sites(qc, point, neighbor)?;
+        let mut rng = SmallRng::seed_from_u64(point_seed(executor.seed(), point, neighbor));
         let cal = executor
             .calibration()
             .with_drift(&mut rng, executor.drift_sigma());
@@ -1019,9 +1022,9 @@ impl HardwarePrepared<'_> {
             cal.restrict(active).noise_model()
         })?;
         Ok(HardwarePrepared {
-            executor,
             sweep,
             sample_base,
+            shots: executor.shots(),
         })
     }
 
@@ -1034,103 +1037,53 @@ impl HardwarePrepared<'_> {
             words.push(f.phi.to_bits());
         }
         let mut rng = SmallRng::seed_from_u64(derive_seed(&words));
-        exact.sample(&mut rng, self.executor.shots()).to_prob_dist()
+        exact.sample(&mut rng, self.shots).to_prob_dist()
     }
 }
 
-impl PreparedSweep for HardwarePrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sample(self.sweep.replay(&[fault], scratch), &[fault]))
+impl SiteSweep for HardwarePrepared<'_> {
+    fn sites(&self) -> &[SpliceSite] {
+        self.sweep.sites()
     }
 
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        let exact = self
-            .sweep
-            .replay_naive(self.executor.transpiler(), &[fault])?;
-        Ok(self.sample(exact, &[fault]))
+    fn parked(&self) -> (&QuantumCircuit, usize) {
+        self.sweep.parked()
     }
 
-    fn replay_grid_batched(
-        &self,
-        grid: &FaultGrid,
-        threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        match effective_batch_width(self.sweep.flat_len(), grid.len()) {
-            // Sampling seeds derive from the fault angles, so drawing the
-            // finite-shot view per cell of a batched block changes nothing.
-            Some(width) if self.sweep.batchable() => {
-                Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
-                    self.sweep
-                        .replay_block(faults)
-                        .into_iter()
-                        .zip(faults)
-                        .map(|(exact, &fault)| self.sample(exact, &[fault]))
-                        .collect()
-                }))
-            }
-            _ => replay_grid_scalar_fallback(self, grid, threads),
-        }
+    fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
+        self.sample(self.sweep.replay(faults, scratch), faults)
     }
 
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        Ok(self.sample(self.sweep.replay_naive(faults)?, faults))
     }
 
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for HardwarePrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        let faults = [first, second];
-        Ok(self.sample(
-            self.sweep.replay(&faults, &mut ReplayScratch::new()),
-            &faults,
-        ))
+    fn batch_len(&self) -> Option<usize> {
+        self.sweep.batch_len()
     }
 
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        let faults = [first, second];
-        let exact = self
-            .sweep
-            .replay_naive(self.executor.transpiler(), &faults)?;
-        Ok(self.sample(exact, &faults))
+    /// Sampling seeds derive from the fault angles, so drawing the
+    /// finite-shot view per cell of a batched block changes nothing.
+    fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
+        self.sweep
+            .replay_block(faults)
+            .into_iter()
+            .zip(faults)
+            .map(|(exact, fault)| self.sample(exact, std::slice::from_ref(fault)))
+            .collect()
     }
 }
 
 impl SweepExecutor for HardwareExecutor {
-    fn prepare<'a>(
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
+        neighbor: Option<usize>,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        Ok(Box::new(HardwarePrepared::prepare(
-            self, marked, 1, point, None,
-        )?))
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        Ok(Box::new(HardwarePrepared::prepare(
-            self,
-            marked,
-            2,
-            point,
-            Some(neighbor),
-        )?))
+        Ok(Box::new(Checked(HardwarePrepared::prepare(
+            self, qc, point, neighbor,
+        )?)))
     }
 }
 
@@ -1162,7 +1115,9 @@ enum PrefixBank {
 }
 
 /// Everything the trajectory replay path shares for one injection point.
-struct TrajectorySweep {
+struct TrajectorySweep<'a> {
+    /// Re-runs the pipeline for `replay_naive`.
+    transpiler: &'a Transpiler,
     /// Marked logical circuit — `replay_naive` re-transpiles it per call.
     marked: QuantumCircuit,
     /// Stripped compact physical circuit the replays run on.
@@ -1199,55 +1154,37 @@ fn bank_byte_limit() -> u64 {
         .unwrap_or(DEFAULT_BANK_BYTES)
 }
 
-impl TrajectorySweep {
-    /// Transpiles a marked circuit, compiles the Kraus plan, and parks one
-    /// prefix statevector per shot (or arranges seed-identical recompute
-    /// when the bank would exceed `bank_limit` bytes of amplitudes).
+impl<'a> TrajectorySweep<'a> {
+    /// Marks and transpiles the sweep's sites, compiles the Kraus plan,
+    /// and parks one prefix statevector per shot (or arranges seed-identical
+    /// recompute when the bank would exceed `bank_limit` bytes of
+    /// amplitudes).
     fn prepare(
-        executor: &TrajectoryExecutor,
-        marked: QuantumCircuit,
-        n_sites: usize,
+        executor: &'a TrajectoryExecutor,
+        qc: &QuantumCircuit,
         point: InjectionPoint,
         neighbor: Option<usize>,
         bank_limit: u64,
     ) -> Result<Self, ExecError> {
-        let transpile_span = qufi_obs::span("prepare.transpile_ns");
-        let result = executor.transpiler().run(&marked)?;
-        transpile_span.finish();
-        let compact_span = qufi_obs::span("prepare.compact_ns");
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        compact_span.finish();
-        if sites.len() != n_sites {
-            return Err(ExecError::Engine(format!(
-                "expected {n_sites} splice markers after transpilation, found {}",
-                sites.len()
-            )));
-        }
+        let (marked, n_sites) = mark_sites(qc, point, neighbor)?;
+        let (physical, sites, active) = transpile_marked(executor.transpiler(), &marked, n_sites)?;
         let plan_span = qufi_obs::span("prepare.plan_ns");
         let model = executor.model_for(&active);
         let plan = TrajPlan::compile(&physical, &model);
         plan_span.finish();
-        let point_base = derive_seed(&[
-            executor.seed(),
-            point.op_index as u64,
-            point.qubit as u64,
-            neighbor.map_or(u64::MAX, |n| n as u64),
-        ]);
         let shots = executor.shots();
         let zero = Statevector::new(physical.num_qubits()).map_err(ExecError::Sim)?;
-        let prefix_pos = sites[0].index;
         let mut sweep = TrajectorySweep {
+            transpiler: executor.transpiler(),
             marked,
+            prefix_pos: sites[0].index,
             physical,
             sites,
             model,
             plan,
-            prefix_pos,
             zero,
             bank: PrefixBank::Recompute,
-            point_base,
+            point_base: point_seed(executor.seed(), point, neighbor),
             shots,
         };
         let amp_bytes = (std::mem::size_of::<qufi_math::Complex>() as u64)
@@ -1312,21 +1249,16 @@ impl TrajectorySweep {
         }
     }
 
-    /// Runs shots `[start, end)` of one cell into `acc` through the given
-    /// plan (the parked one, or a freshly compiled one on the naive path).
-    #[allow(clippy::too_many_arguments)]
+    /// Runs shots `[start, end)` of one cell into `acc`.
     fn run_shot_range(
         &self,
-        plan: &TrajPlan,
-        sites: &[SpliceSite],
         faults: &[FaultParams],
-        start: u64,
-        end: u64,
+        shots: std::ops::Range<u64>,
         acc: &mut ShotAccumulator,
         sv_buf: &mut Option<Statevector>,
         ws: &mut TrajWorkspace,
     ) {
-        for shot in start..end {
+        for shot in shots {
             let state = match sv_buf.take() {
                 Some(s) => s,
                 None => self.zero.clone(),
@@ -1334,27 +1266,37 @@ impl TrajectorySweep {
             let state = self.prefix_into(state, shot, ws);
             let mut rng = SmallRng::seed_from_u64(self.suffix_seed(faults, shot));
             let mut cursor = TrajectoryCursor::resume(state, self.prefix_pos);
-            for (site, fault) in sites.iter().zip(faults) {
-                cursor.advance_planned(plan, site.index, &mut rng, ws);
+            for (site, fault) in self.sites.iter().zip(faults) {
+                cursor.advance_planned(&self.plan, site.index, &mut rng, ws);
                 cursor.apply_planned_injector(
-                    plan,
+                    &self.plan,
                     fault.injector_gate(),
                     site.qubit,
                     &mut rng,
                     ws,
                 );
             }
-            cursor.advance_planned(plan, plan.size(), &mut rng, ws);
+            cursor.advance_planned(&self.plan, self.plan.size(), &mut rng, ws);
             acc.add_shot(shot, cursor.state());
             *sv_buf = Some(cursor.into_state());
         }
     }
+}
 
-    /// Fast path: all shots of one `(θ, φ)` cell — prefix from the bank,
-    /// suffix under the cell's seed stream — averaged, confused, and
-    /// marginalized. `QUFI_TRAJ_SHOT_THREADS > 1` splits the shots across
-    /// scoped threads in whole accumulator blocks; the absorb-in-worker-
-    /// order merge keeps the result bit-identical to the serial fold.
+impl SiteSweep for TrajectorySweep<'_> {
+    fn sites(&self) -> &[SpliceSite] {
+        &self.sites
+    }
+
+    fn parked(&self) -> (&QuantumCircuit, usize) {
+        (&self.physical, self.prefix_pos)
+    }
+
+    /// All shots of one cell — prefix from the bank, suffix under the
+    /// cell's seed stream — averaged, confused, and marginalized.
+    /// `QUFI_TRAJ_SHOT_THREADS > 1` splits the shots across scoped threads
+    /// in whole accumulator blocks; the absorb-in-worker-order merge keeps
+    /// the result bit-identical to the serial fold.
     fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
         qufi_obs::add("traj.shots", self.shots);
         let n = self.physical.num_qubits();
@@ -1363,11 +1305,8 @@ impl TrajectorySweep {
         let workers = (shot_workers() as u64).min(blocks).max(1);
         if workers == 1 {
             self.run_shot_range(
-                &self.plan,
-                &self.sites,
                 faults,
-                0,
-                self.shots,
+                0..self.shots,
                 &mut acc,
                 &mut scratch.traj_sv,
                 &mut scratch.traj_ws,
@@ -1385,17 +1324,12 @@ impl TrajectorySweep {
                         scope.spawn(move || {
                             let mut part =
                                 ShotAccumulator::for_shot_range(n, self.shots, start, end);
-                            let mut sv_buf = None;
-                            let mut ws = TrajWorkspace::new();
                             self.run_shot_range(
-                                &self.plan,
-                                &self.sites,
                                 faults,
-                                start,
-                                end,
+                                start..end,
                                 &mut part,
-                                &mut sv_buf,
-                                &mut ws,
+                                &mut None,
+                                &mut TrajWorkspace::new(),
                             );
                             qufi_obs::flush();
                             part
@@ -1414,56 +1348,35 @@ impl TrajectorySweep {
         finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
     }
 
-    /// Oracle-flavored path: re-transpile the marked circuit and recompile
-    /// the Kraus plan from scratch, then run every shot un-banked and
-    /// un-split. The seed streams are the same pure functions of
-    /// `(point, fault angles, shot)`, so this is **bit-identical** to
-    /// [`TrajectorySweep::replay`] — it independently re-derives
-    /// everything the prepare step amortizes (transpilation, plan, prefix
-    /// bank, scratch reuse, shot chunking).
-    fn replay_naive(
-        &self,
-        transpiler: &qufi_transpile::Transpiler,
-        faults: &[FaultParams],
-    ) -> Result<ProbDist, ExecError> {
-        let result = transpiler.run(&self.marked)?;
-        let active = result.active_physical_qubits();
-        let compact = compact_circuit(result.circuit(), &active);
-        let (physical, sites) = extract_splice_sites(&compact);
-        if sites.len() != faults.len() {
-            return Err(ExecError::Engine(format!(
-                "expected {} splice markers after re-transpilation, found {}",
-                faults.len(),
-                sites.len()
-            )));
-        }
-        let plan = TrajPlan::compile(&physical, &self.model);
+    /// Re-transpiles the marked circuit and recompiles the Kraus plan from
+    /// scratch, then runs every shot un-banked and un-split. The seed
+    /// streams are the same pure functions of `(point, fault angles,
+    /// shot)`, so this is **bit-identical** to the fast path — it
+    /// independently re-derives everything the prepare step amortizes
+    /// (transpilation, plan, prefix bank, scratch reuse, shot chunking).
+    fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
+        let (physical, sites, _) = transpile_marked(self.transpiler, &self.marked, faults.len())?;
         let n = physical.num_qubits();
-        let prefix_pos = sites[0].index;
-        let mut acc = ShotAccumulator::new(n, self.shots);
-        let mut ws = TrajWorkspace::new();
-        let mut sv_buf = None;
         let naive = TrajectorySweep {
+            transpiler: self.transpiler,
             marked: self.marked.clone(),
+            plan: TrajPlan::compile(&physical, &self.model),
+            prefix_pos: sites[0].index,
+            zero: Statevector::new(n).map_err(ExecError::Sim)?,
             physical,
             sites,
             model: self.model.clone(),
-            plan,
-            prefix_pos,
-            zero: Statevector::new(n).map_err(ExecError::Sim)?,
             bank: PrefixBank::Recompute,
             point_base: self.point_base,
             shots: self.shots,
         };
+        let mut acc = ShotAccumulator::new(n, self.shots);
         naive.run_shot_range(
-            &naive.plan,
-            &naive.sites,
             faults,
-            0,
-            naive.shots,
+            0..self.shots,
             &mut acc,
-            &mut sv_buf,
-            &mut ws,
+            &mut None,
+            &mut TrajWorkspace::new(),
         );
         Ok(finish_trajectory_dist(
             acc.mean(),
@@ -1472,86 +1385,17 @@ impl TrajectorySweep {
             &naive.physical,
         ))
     }
-
-    fn prefix_gates(&self) -> usize {
-        gates_in(&self.physical, 0..self.prefix_pos)
-    }
-
-    fn suffix_gates(&self) -> usize {
-        gates_in(&self.physical, self.prefix_pos..self.physical.size())
-    }
-}
-
-struct TrajectoryPrepared<'a> {
-    executor: &'a TrajectoryExecutor,
-    sweep: TrajectorySweep,
-}
-
-impl PreparedSweep for TrajectoryPrepared<'_> {
-    fn replay_with(
-        &self,
-        fault: FaultParams,
-        scratch: &mut ReplayScratch,
-    ) -> Result<ProbDist, ExecError> {
-        Ok(self.sweep.replay(&[fault], scratch))
-    }
-
-    fn replay_naive(&self, fault: FaultParams) -> Result<ProbDist, ExecError> {
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[fault])
-    }
-
-    fn prefix_gates(&self) -> usize {
-        self.sweep.prefix_gates()
-    }
-
-    fn suffix_gates(&self) -> usize {
-        self.sweep.suffix_gates()
-    }
-}
-
-impl PreparedDoubleSweep for TrajectoryPrepared<'_> {
-    fn replay(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        Ok(self
-            .sweep
-            .replay(&[first, second], &mut ReplayScratch::new()))
-    }
-
-    fn replay_naive(&self, first: FaultParams, second: FaultParams) -> Result<ProbDist, ExecError> {
-        check_fault_order(first, second)?;
-        self.sweep
-            .replay_naive(self.executor.transpiler(), &[first, second])
-    }
 }
 
 impl SweepExecutor for TrajectoryExecutor {
-    fn prepare<'a>(
+    fn prepare_sites<'a>(
         &'a self,
         qc: &QuantumCircuit,
         point: InjectionPoint,
+        neighbor: Option<usize>,
     ) -> Result<Box<dyn PreparedSweep + 'a>, ExecError> {
-        let marked = mark_injection_site(qc, point)?;
-        let sweep = TrajectorySweep::prepare(self, marked, 1, point, None, bank_byte_limit())?;
-        Ok(Box::new(TrajectoryPrepared {
-            executor: self,
-            sweep,
-        }))
-    }
-
-    fn prepare_double<'a>(
-        &'a self,
-        qc: &QuantumCircuit,
-        point: InjectionPoint,
-        neighbor: usize,
-    ) -> Result<Box<dyn PreparedDoubleSweep + 'a>, ExecError> {
-        let marked = mark_double_injection_site(qc, point, neighbor)?;
-        let sweep =
-            TrajectorySweep::prepare(self, marked, 2, point, Some(neighbor), bank_byte_limit())?;
-        Ok(Box::new(TrajectoryPrepared {
-            executor: self,
-            sweep,
-        }))
+        let sweep = TrajectorySweep::prepare(self, qc, point, neighbor, bank_byte_limit())?;
+        Ok(Box::new(Checked(sweep)))
     }
 }
 
@@ -1592,8 +1436,8 @@ mod tests {
         let prepared = IdealExecutor.prepare(&qc, some_point()).unwrap();
         for (theta, phi) in [(0.0, 0.0), (PI, 0.0), (FRAC_PI_2, PI), (0.3, 5.9)] {
             let fault = FaultParams::shift(theta, phi);
-            let fast = prepared.replay(fault).unwrap();
-            let slow = prepared.replay_naive(fault).unwrap();
+            let fast = prepared.replay(&[fault]).unwrap();
+            let slow = prepared.replay_naive(&[fault]).unwrap();
             assert_bit_identical(&fast, &slow, "ideal");
         }
     }
@@ -1605,8 +1449,8 @@ mod tests {
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         for (theta, phi) in [(0.0, 0.0), (PI, 0.0), (FRAC_PI_2, FRAC_PI_2)] {
             let fault = FaultParams::shift(theta, phi);
-            let fast = prepared.replay(fault).unwrap();
-            let slow = prepared.replay_naive(fault).unwrap();
+            let fast = prepared.replay(&[fault]).unwrap();
+            let slow = prepared.replay_naive(&[fault]).unwrap();
             assert_bit_identical(&fast, &slow, "noisy");
         }
     }
@@ -1623,17 +1467,17 @@ mod tests {
         ];
         let forward: Vec<ProbDist> = faults
             .iter()
-            .map(|&f| prepared.replay(f).unwrap())
+            .map(|&f| prepared.replay(&[f]).unwrap())
             .collect();
         // Naive replays in reverse order must reproduce each distribution.
         for (i, &f) in faults.iter().enumerate().rev() {
-            let slow = prepared.replay_naive(f).unwrap();
+            let slow = prepared.replay_naive(&[f]).unwrap();
             assert_bit_identical(&forward[i], &slow, "hardware");
         }
         // A fresh prepare of the same point reproduces everything.
         let again = ex.prepare(&qc, some_point()).unwrap();
         for (i, &f) in faults.iter().enumerate() {
-            assert_bit_identical(&forward[i], &again.replay(f).unwrap(), "re-prepare");
+            assert_bit_identical(&forward[i], &again.replay(&[f]).unwrap(), "re-prepare");
         }
     }
 
@@ -1647,52 +1491,57 @@ mod tests {
         let before = ex
             .prepare(&qc, some_point())
             .unwrap()
-            .replay(FaultParams::shift(PI, 0.0))
+            .replay(&[FaultParams::shift(PI, 0.0)])
             .unwrap();
         let _ = ex.execute(&qc).unwrap();
         let _ = ex.execute(&qc).unwrap();
         let after = ex
             .prepare(&qc, some_point())
             .unwrap()
-            .replay(FaultParams::shift(PI, 0.0))
+            .replay(&[FaultParams::shift(PI, 0.0)])
             .unwrap();
         assert_bit_identical(&before, &after, "shared-stream independence");
+    }
+
+    /// One executor per scenario, for the checks every executor must pass.
+    fn executors() -> Vec<(&'static str, Box<dyn SweepExecutor>)> {
+        vec![
+            ("ideal", Box::new(IdealExecutor)),
+            (
+                "noisy",
+                Box::new(NoisyExecutor::new(BackendCalibration::lima())),
+            ),
+            (
+                "hardware",
+                Box::new(HardwareExecutor::new(BackendCalibration::jakarta(), 5)),
+            ),
+            (
+                "trajectory",
+                Box::new(TrajectoryExecutor::with_shots(
+                    BackendCalibration::jakarta(),
+                    5,
+                    130,
+                )),
+            ),
+        ]
     }
 
     #[test]
     fn double_replay_matches_naive_across_executors() {
         let qc = bv();
-        let point = some_point();
-        let first = FaultParams::shift(PI, PI);
-        let second = FaultParams::shift(FRAC_PI_2, FRAC_PI_2);
-        let noisy = NoisyExecutor::new(BackendCalibration::lima());
-        let hw = HardwareExecutor::new(BackendCalibration::jakarta(), 5);
-
-        let p = IdealExecutor.prepare_double(&qc, point, 1).unwrap();
-        assert_bit_identical(
-            &p.replay(first, second).unwrap(),
-            &p.replay_naive(first, second).unwrap(),
-            "ideal double",
-        );
-        let p = noisy.prepare_double(&qc, point, 1).unwrap();
-        assert_bit_identical(
-            &p.replay(first, second).unwrap(),
-            &p.replay_naive(first, second).unwrap(),
-            "noisy double",
-        );
-        let p = hw.prepare_double(&qc, point, 1).unwrap();
-        assert_bit_identical(
-            &p.replay(first, second).unwrap(),
-            &p.replay_naive(first, second).unwrap(),
-            "hardware double",
-        );
-        let traj = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 5, 130);
-        let p = traj.prepare_double(&qc, point, 1).unwrap();
-        assert_bit_identical(
-            &p.replay(first, second).unwrap(),
-            &p.replay_naive(first, second).unwrap(),
-            "trajectory double",
-        );
+        let faults = [
+            FaultParams::shift(PI, PI),
+            FaultParams::shift(FRAC_PI_2, FRAC_PI_2),
+        ];
+        for (name, ex) in executors() {
+            let p = ex.prepare_sites(&qc, some_point(), Some(1)).unwrap();
+            assert_eq!(p.sites(), 2);
+            assert_bit_identical(
+                &p.replay(&faults).unwrap(),
+                &p.replay_naive(&faults).unwrap(),
+                &format!("{name} double"),
+            );
+        }
     }
 
     #[test]
@@ -1704,8 +1553,8 @@ mod tests {
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         for (theta, phi) in [(0.0, 0.0), (PI, 0.0), (FRAC_PI_2, FRAC_PI_2), (0.3, 5.9)] {
             let fault = FaultParams::shift(theta, phi);
-            let fast = prepared.replay(fault).unwrap();
-            let slow = prepared.replay_naive(fault).unwrap();
+            let fast = prepared.replay(&[fault]).unwrap();
+            let slow = prepared.replay_naive(&[fault]).unwrap();
             assert_bit_identical(&fast, &slow, "trajectory");
         }
     }
@@ -1721,10 +1570,8 @@ mod tests {
             FaultParams::shift(PI, 0.0),
             FaultParams::shift(FRAC_PI_2, PI),
         ];
-        let marked = mark_injection_site(&qc, point).unwrap();
-        let banked =
-            TrajectorySweep::prepare(&ex, marked.clone(), 1, point, None, u64::MAX).unwrap();
-        let recomputed = TrajectorySweep::prepare(&ex, marked, 1, point, None, 0).unwrap();
+        let banked = TrajectorySweep::prepare(&ex, &qc, point, None, u64::MAX).unwrap();
+        let recomputed = TrajectorySweep::prepare(&ex, &qc, point, None, 0).unwrap();
         assert!(matches!(banked.bank, PrefixBank::Banked(_)));
         assert!(matches!(recomputed.bank, PrefixBank::Recompute));
         let mut scratch = ReplayScratch::new();
@@ -1748,11 +1595,11 @@ mod tests {
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         let fault = FaultParams::shift(FRAC_PI_2, 0.3);
         std::env::set_var("QUFI_TRAJ_SHOT_THREADS", "1");
-        let serial = prepared.replay(fault).unwrap();
+        let serial = prepared.replay(&[fault]).unwrap();
         for workers in ["2", "3", "7"] {
             std::env::set_var("QUFI_TRAJ_SHOT_THREADS", workers);
             assert_bit_identical(
-                &prepared.replay(fault).unwrap(),
+                &prepared.replay(&[fault]).unwrap(),
                 &serial,
                 &format!("{workers} shot workers"),
             );
@@ -1762,14 +1609,47 @@ mod tests {
 
     #[test]
     fn double_replay_enforces_fault_ordering() {
+        // Every executor, on the fast and the naive path alike, rejects a
+        // fault slice that breaks the §III-C order or does not match the
+        // site count: an error, never a panic or a silent `zip` truncation.
         let qc = bv();
-        let p = IdealExecutor.prepare_double(&qc, some_point(), 1).unwrap();
         let weak = FaultParams::shift(FRAC_PI_2, 0.0);
         let strong = FaultParams::shift(PI, 0.0);
-        assert!(matches!(
-            p.replay(weak, strong),
-            Err(ExecError::InvalidFault(_))
-        ));
+        let grid = FaultGrid::coarse();
+        for (name, ex) in executors() {
+            let double = ex.prepare_sites(&qc, some_point(), Some(1)).unwrap();
+            let single = ex.prepare(&qc, some_point()).unwrap();
+            let cases: [(&dyn PreparedSweep, &[FaultParams]); 4] = [
+                (&*double, &[weak, strong]),
+                (&*double, &[strong]),
+                (&*single, &[]),
+                (&*single, &[strong, weak]),
+            ];
+            for (i, (sweep, faults)) in cases.into_iter().enumerate() {
+                assert!(
+                    matches!(sweep.replay(faults), Err(ExecError::InvalidFault(_))),
+                    "{name}: case {i}, fast path"
+                );
+                assert!(
+                    matches!(sweep.replay_naive(faults), Err(ExecError::InvalidFault(_))),
+                    "{name}: case {i}, naive path"
+                );
+            }
+            assert!(
+                matches!(
+                    double.replay_grid(&grid, 2),
+                    Err(ExecError::InvalidFault(_))
+                ),
+                "{name}: grid on a double sweep"
+            );
+            assert!(
+                matches!(
+                    double.replay_grid_batched(&grid, 2),
+                    Err(ExecError::InvalidFault(_))
+                ),
+                "{name}: batched grid on a double sweep"
+            );
+        }
     }
 
     #[test]
@@ -1779,16 +1659,29 @@ mod tests {
             op_index: qc.size() + 3,
             qubit: 0,
         };
-        assert!(matches!(
-            IdealExecutor.prepare(&qc, bad),
-            Err(ExecError::InjectionOutOfRange { .. })
-        ));
-        let noisy = NoisyExecutor::new(BackendCalibration::lima());
-        assert!(noisy.prepare(&qc, bad).is_err());
-        assert!(matches!(
-            noisy.prepare_double(&qc, some_point(), 0),
-            Err(ExecError::InvalidFault(_))
-        ));
+        for (name, ex) in executors() {
+            assert!(
+                matches!(
+                    ex.prepare(&qc, bad),
+                    Err(ExecError::InjectionOutOfRange { .. })
+                ),
+                "{name}: point out of range"
+            );
+            assert!(
+                matches!(
+                    ex.prepare_sites(&qc, some_point(), Some(0)),
+                    Err(ExecError::InvalidFault(_))
+                ),
+                "{name}: neighbor is the struck qubit"
+            );
+            assert!(
+                matches!(
+                    ex.prepare_sites(&qc, some_point(), Some(qc.num_qubits())),
+                    Err(ExecError::InjectionOutOfRange { .. })
+                ),
+                "{name}: neighbor out of range"
+            );
+        }
     }
 
     #[test]
@@ -1830,7 +1723,7 @@ mod tests {
             // Serial reference, one replay per cell in grid order.
             let reference: Vec<ProbDist> = grid
                 .iter()
-                .map(|(t, p)| prepared.replay(FaultParams::shift(t, p)).unwrap())
+                .map(|(t, p)| prepared.replay(&[FaultParams::shift(t, p)]).unwrap())
                 .collect();
             for threads in [1, 2, 4, 7] {
                 let cells = prepared.replay_grid(&grid, threads).unwrap();
@@ -1853,7 +1746,7 @@ mod tests {
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         let grid = FaultGrid::coarse();
         let probe = FaultParams::shift(FRAC_PI_2, PI);
-        let before = prepared.replay(probe).unwrap();
+        let before = prepared.replay(&[probe]).unwrap();
         let grid_before = prepared.replay_grid(&grid, 1).unwrap();
 
         let prepared = &*prepared;
@@ -1869,7 +1762,7 @@ mod tests {
             scope.spawn(|| {
                 for _ in 0..5 {
                     assert_bit_identical(
-                        &prepared.replay(probe).unwrap(),
+                        &prepared.replay(&[probe]).unwrap(),
                         &before,
                         "concurrent single replay",
                     );
@@ -1877,7 +1770,7 @@ mod tests {
             });
         });
         assert_bit_identical(
-            &prepared.replay(probe).unwrap(),
+            &prepared.replay(&[probe]).unwrap(),
             &before,
             "post-concurrency replay",
         );
@@ -1895,8 +1788,8 @@ mod tests {
         ];
         let mut scratch = ReplayScratch::new();
         for &fault in &faults {
-            let reused = prepared.replay_with(fault, &mut scratch).unwrap();
-            let fresh = prepared.replay(fault).unwrap();
+            let reused = prepared.replay_with(&[fault], &mut scratch).unwrap();
+            let fresh = prepared.replay(&[fault]).unwrap();
             assert_bit_identical(&reused, &fresh, "scratch reuse");
         }
         // The trajectory path keeps its own statevector + workspace in the
@@ -1904,8 +1797,8 @@ mod tests {
         let traj = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 21, 96);
         let prepared = traj.prepare(&qc, some_point()).unwrap();
         for &fault in &faults {
-            let reused = prepared.replay_with(fault, &mut scratch).unwrap();
-            let fresh = prepared.replay(fault).unwrap();
+            let reused = prepared.replay_with(&[fault], &mut scratch).unwrap();
+            let fresh = prepared.replay(&[fault]).unwrap();
             assert_bit_identical(&reused, &fresh, "trajectory scratch reuse");
         }
     }
@@ -1986,7 +1879,7 @@ mod tests {
         let ex = NoisyExecutor::new(BackendCalibration::jakarta());
         let clean = ex.execute(&qc).unwrap();
         let prepared = ex.prepare(&qc, some_point()).unwrap();
-        let null = prepared.replay(FaultParams::shift(0.0, 0.0)).unwrap();
+        let null = prepared.replay(&[FaultParams::shift(0.0, 0.0)]).unwrap();
         let tv = clean.tv_distance(&null);
         assert!(tv > 0.0, "injector should cost one gate of noise");
         assert!(tv < 5e-3, "a null fault must stay nearly invisible: {tv}");

@@ -20,8 +20,13 @@
 //!   hardware backend with calibration drift and 1024-shot sampling — plus
 //!   a Monte-Carlo trajectory backend that extends the noisy scenario past
 //!   the density-matrix width wall (10–14 qubits and beyond).
+//! * [`engine`] — the forked-state sweep engine: prepare an injection point
+//!   once, then replay fault configurations from the parked prefix state.
+//!   One k-site [`PreparedSweep`] serves single faults (k = 1) and double
+//!   faults (k = 2) on every executor.
 //! * [`campaign`] — parallel single-fault campaigns over all injection
-//!   points × phase shifts.
+//!   points × phase shifts, and [`campaign::run_units`], the point pool
+//!   every campaign driver shares.
 //! * [`double`] — multi-qubit fault campaigns on physically-adjacent qubit
 //!   pairs identified through transpilation (§IV-C).
 //! * [`report`] — heatmaps (Fig. 5/6/8), histograms (Fig. 7/10), ΔQVF
@@ -67,14 +72,13 @@ pub mod report;
 pub mod retry;
 pub mod serialize;
 pub mod shard;
-pub mod sweep;
 
 pub use campaign::{
     golden_outputs, run_point_sweep, run_point_sweep_parallel, run_single_campaign,
     split_thread_budget, CampaignOptions, CampaignResult, InjectionRecord,
 };
 pub use double::{DoubleCampaignResult, DoubleInjectionRecord, DoubleOptions};
-pub use engine::{PreparedDoubleSweep, PreparedSweep, ReplayScratch, SweepExecutor};
+pub use engine::{PreparedSweep, ReplayScratch, SweepExecutor};
 pub use error::ExecError;
 pub use executor::{Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor};
 pub use fault::{
@@ -93,7 +97,7 @@ pub mod prelude {
         split_thread_budget, CampaignOptions,
     };
     pub use crate::double::{run_double_campaign, DoubleOptions};
-    pub use crate::engine::{PreparedDoubleSweep, PreparedSweep, SweepExecutor};
+    pub use crate::engine::{PreparedSweep, SweepExecutor};
     pub use crate::executor::{
         Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
     };

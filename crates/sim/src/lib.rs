@@ -45,11 +45,9 @@ pub mod circuit;
 pub mod counts;
 pub mod cursor;
 pub mod density;
-pub mod diagram;
 pub mod error;
 pub mod gate;
 mod kernel;
-pub mod observable;
 pub mod qasm;
 pub mod statevector;
 pub mod unitary;

@@ -26,7 +26,7 @@ fn main() {
     // fresh-scratch replays
     let t = Instant::now();
     for (theta, phi) in grid.iter() {
-        let _ = prepared.replay(FaultParams::shift(theta, phi)).unwrap();
+        let _ = prepared.replay(&[FaultParams::shift(theta, phi)]).unwrap();
     }
     println!("replay fresh: {:?}", t.elapsed());
 }

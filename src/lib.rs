@@ -32,7 +32,7 @@
 //!     .prepare(&w.circuit, InjectionPoint { op_index: 2, qubit: 0 })
 //!     .unwrap();
 //! let dist = prepared
-//!     .replay(FaultParams::shift(std::f64::consts::FRAC_PI_4, 0.0))
+//!     .replay(&[FaultParams::shift(std::f64::consts::FRAC_PI_4, 0.0)])
 //!     .unwrap();
 //! let qvf = qufi::core::metrics::qvf_from_dist(&dist, &w.correct_outputs);
 //! assert!(qvf < 0.45, "a θ=π/4 shift is masked on BV (Fig. 4)");

@@ -48,8 +48,8 @@ fn assert_executor_equivalence<E: SweepExecutor>(ex: &E, label: &str) {
                 .unwrap_or_else(|e| panic!("{label}/{}: prepare {point:?}: {e}", w.name));
             for (theta, phi) in grid.iter() {
                 let fault = FaultParams::shift(theta, phi);
-                let fast = prepared.replay(fault).expect("replay");
-                let slow = prepared.replay_naive(fault).expect("naive replay");
+                let fast = prepared.replay(&[fault]).expect("replay");
+                let slow = prepared.replay_naive(&[fault]).expect("naive replay");
                 let tv = fast.tv_distance(&slow);
                 assert!(
                     tv < TOL,

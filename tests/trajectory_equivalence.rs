@@ -53,7 +53,7 @@ fn assert_statistical_equivalence(workload: &str, seed: u64) {
         .iter()
         .map(|(t, p)| {
             oracle_prepared
-                .replay(FaultParams::shift(t, p))
+                .replay(&[FaultParams::shift(t, p)])
                 .expect("oracle replay")
         })
         .collect();
@@ -68,7 +68,7 @@ fn assert_statistical_equivalence(workload: &str, seed: u64) {
         let mut cells = Vec::new();
         for ((theta, phi), want) in grid.iter().zip(&oracle_cells) {
             let got = prepared
-                .replay(FaultParams::shift(theta, phi))
+                .replay(&[FaultParams::shift(theta, phi)])
                 .expect("trajectory replay");
             let tv = got.tv_distance(want);
             assert!(
@@ -139,8 +139,8 @@ fn trajectory_forked_sweep_matches_naive_oracle_qft6() {
         let prepared = ex.prepare(&w.circuit, point).expect("prepare");
         for (theta, phi) in FaultGrid::custom(vec![0.0, 1.2], vec![0.0, 4.4]).iter() {
             let fault = FaultParams::shift(theta, phi);
-            let fast = prepared.replay(fault).expect("replay");
-            let slow = prepared.replay_naive(fault).expect("naive replay");
+            let fast = prepared.replay(&[fault]).expect("replay");
+            let slow = prepared.replay_naive(&[fault]).expect("naive replay");
             assert!(
                 fast.tv_distance(&slow) < 1e-12,
                 "qft-6 {point:?} (θ={theta:.3}, φ={phi:.3}) diverged from naive"
