@@ -154,6 +154,18 @@ fn render_counters(out: &mut String, snap: &Snapshot) {
             );
         }
     }
+    if let (Some(&taps), Some(&dense)) = (
+        snap.counters.get("replay.batch.taps"),
+        snap.counters.get("replay.batch.dense_taps"),
+    ) {
+        if dense > 0 {
+            let _ = writeln!(
+                out,
+                "  note: batched density replay executed {:.3} of the dense kernels' coefficient applications ({taps} of {dense})",
+                taps as f64 / dense as f64
+            );
+        }
+    }
     if let Some(&salvaged) = snap.counters.get("checkpoint.salvaged_lines") {
         if salvaged > 0 {
             let _ = writeln!(

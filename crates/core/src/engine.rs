@@ -55,11 +55,12 @@ use qufi_noise::trajectory::{
 use qufi_noise::NoiseModel;
 use qufi_sim::{
     BatchedDensity, BatchedStatevector, CircuitCursor, DensityMatrix, EvolvableState, Op, ProbDist,
-    QuantumCircuit, Statevector,
+    QuantumCircuit, Statevector, StepProgram,
 };
 use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// An [`Executor`] that can split a fault sweep into per-point preparation
 /// and per-configuration replay.
@@ -801,6 +802,42 @@ struct PhysicalSweep<'a> {
     plan: NoisePlan,
     prefix: DensityMatrix,
     prefix_pos: usize,
+    /// Compiled on the first batched block, so sweeps that only replay
+    /// cell by cell never pay for it.
+    suffix_programs: OnceLock<SuffixPrograms>,
+}
+
+/// What a batched block runs after the per-cell injector unitary: the
+/// injector's channels, then every suffix step of the plan, each compiled
+/// once into a fused [`StepProgram`].
+struct SuffixPrograms {
+    programs: Vec<StepProgram>,
+    /// Coefficient applications per cell: executed, and what the dense
+    /// kernels would execute for the same ops.
+    taps: u64,
+    dense_taps: u64,
+}
+
+impl SuffixPrograms {
+    fn compile(sweep: &PhysicalSweep<'_>) -> Self {
+        let n = sweep.physical.num_qubits();
+        let injector = sweep.plan.injector_channels(sweep.sites[0].qubit);
+        let programs: Vec<StepProgram> = std::iter::once(StepProgram::density(n, None, injector))
+            .chain(
+                sweep
+                    .plan
+                    .planned_steps(sweep.prefix_pos, sweep.physical.size())
+                    .map(|(u, qubits, channels)| {
+                        StepProgram::density(n, Some((u, qubits)), channels)
+                    }),
+            )
+            .collect();
+        SuffixPrograms {
+            taps: programs.iter().map(StepProgram::taps_per_cell).sum(),
+            dense_taps: programs.iter().map(StepProgram::dense_taps_per_cell).sum(),
+            programs,
+        }
+    }
 }
 
 impl<'a> PhysicalSweep<'a> {
@@ -832,6 +869,7 @@ impl<'a> PhysicalSweep<'a> {
             plan,
             prefix,
             prefix_pos,
+            suffix_programs: OnceLock::new(),
         })
     }
 }
@@ -879,25 +917,23 @@ impl SiteSweep for PhysicalSweep<'_> {
     }
 
     /// Broadcasts the parked prefix into the block, applies each cell's
-    /// noisy injector, runs the planned suffix once across all cells, and
-    /// finishes each cell exactly like [`NoisyCursor::finish_dist`].
+    /// noisy injector, runs the planned suffix once across all cells — one
+    /// fused step program per plan step — and finishes each cell exactly
+    /// like [`NoisyCursor::finish_dist`].
     fn replay_block(&self, faults: &[FaultParams]) -> Vec<ProbDist> {
         let site = &self.sites[0];
         let mats = injector_matrices(faults);
+        let suffix = self
+            .suffix_programs
+            .get_or_init(|| SuffixPrograms::compile(self));
         let mut batch = BatchedDensity::broadcast(&self.prefix, faults.len());
         batch.apply_unitary_per_cell(&mats, site.qubit);
-        for (superop, targets) in self.plan.injector_channels(site.qubit) {
-            batch.apply_superoperator(superop, targets);
+        for program in &suffix.programs {
+            batch.apply_program(program);
         }
-        for (matrix, qubits, channels) in self
-            .plan
-            .planned_steps(self.prefix_pos, self.physical.size())
-        {
-            batch.apply_unitary(matrix, qubits);
-            for (superop, targets) in channels {
-                batch.apply_superoperator(superop, targets);
-            }
-        }
+        let cells = faults.len() as u64;
+        qufi_obs::add("replay.batch.taps", suffix.taps * cells);
+        qufi_obs::add("replay.batch.dense_taps", suffix.dense_taps * cells);
         let map = self.physical.measurement_map();
         (0..faults.len())
             .map(|c| {

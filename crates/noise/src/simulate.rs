@@ -111,9 +111,9 @@ impl NoisePlan {
     ///
     /// This is the batch-friendly view of the plan: walking it and applying
     /// each unitary and channel in order performs exactly the sequence
-    /// [`NoisyCursor::advance_planned`] performs over the same range, so a
-    /// batched replay that drives all grid cells through it stays
-    /// bit-identical to the scalar cursor.
+    /// [`NoisyCursor::advance_planned`] performs over the same range, so
+    /// compiling each entry into a `qufi_sim::StepProgram` keeps a batched
+    /// replay bit-identical to the scalar cursor.
     ///
     /// # Panics
     ///

@@ -9,16 +9,18 @@
 //!
 //! **Bit compatibility is the load-bearing invariant**: a cell evolved inside
 //! a batch goes through exactly the per-cell operation sequence of the scalar
-//! [`Statevector`] / [`DensityMatrix`] engines (see `kernel.rs`), so
-//! extracting any cell's distribution is bit-identical to replaying that cell
-//! alone. The engine layer relies on this to keep batched campaign exports
+//! [`Statevector`] / [`DensityMatrix`] engines, minus terms that provably
+//! cannot change a bit (see `kernel.rs` on step programs), so extracting any
+//! cell's distribution is bit-identical to replaying that cell alone. The engine layer relies on this to keep batched campaign exports
 //! byte-identical to the scalar path at any batch width.
 
 use crate::circuit::QuantumCircuit;
 use crate::counts::ProbDist;
 use crate::density::DensityMatrix;
 use crate::gate::Gate;
-use crate::kernel::{batch_apply_1q_per_cell, batch_apply_matrix_on_bits, MAX_KERNEL_QUBITS};
+use crate::kernel::{
+    batch_apply_1q_per_cell, batch_apply_matrix_on_bits, batch_apply_program, StepProgram,
+};
 use crate::statevector::Statevector;
 use qufi_math::{CMatrix, Complex};
 
@@ -180,32 +182,6 @@ impl BatchedStatevector {
     }
 }
 
-/// Reusable scratch for [`BatchedDensity::apply_kraus_with`] — the batched
-/// counterpart of `EvolutionWorkspace`.
-#[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    term_re: Vec<f64>,
-    term_im: Vec<f64>,
-    acc_re: Vec<f64>,
-    acc_im: Vec<f64>,
-}
-
-impl BatchWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, len: usize) {
-        if self.term_re.len() < len {
-            self.term_re.resize(len, 0.0);
-            self.term_im.resize(len, 0.0);
-            self.acc_re.resize(len, 0.0);
-            self.acc_im.resize(len, 0.0);
-        }
-    }
-}
-
 /// `width` forked mixed states evolving in lockstep. ρ (row-major) is
 /// treated exactly as the scalar engine treats it: a statevector over `2n`
 /// flat bits, row bit `q` at flat bit `n + q`, column bit `q` at flat bit
@@ -243,39 +219,6 @@ impl BatchedDensity {
         self.n
     }
 
-    /// Applies one shared unitary to every cell: `ρ ↦ UρU†` as a row pass
-    /// plus a conjugated column pass, exactly like the scalar engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a qubit index is out of range.
-    pub fn apply_unitary(&mut self, u: &CMatrix, qubits: &[usize]) {
-        let k = qubits.len();
-        let mut row_positions = [0usize; MAX_KERNEL_QUBITS];
-        for (slot, &q) in row_positions.iter_mut().zip(qubits) {
-            assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
-            *slot = self.n + q;
-        }
-        batch_apply_matrix_on_bits(
-            &mut self.block.re,
-            &mut self.block.im,
-            self.block.width,
-            u.as_slice(),
-            &row_positions[..k],
-            2 * self.n,
-            false,
-        );
-        batch_apply_matrix_on_bits(
-            &mut self.block.re,
-            &mut self.block.im,
-            self.block.width,
-            u.as_slice(),
-            qubits,
-            2 * self.n,
-            true,
-        );
-    }
-
     /// Applies one single-qubit unitary **per cell** (the grid's per-cell
     /// fault injector) on the shared target qubit.
     ///
@@ -306,95 +249,31 @@ impl BatchedDensity {
         );
     }
 
-    /// Applies one shared channel superoperator (`4^k × 4^k` over the
-    /// combined row/column bits) to every cell.
+    /// Runs one compiled [`StepProgram`] — a noisy gate step or an
+    /// injector's channels — on every cell: each cell goes through exactly
+    /// the dense op sequence the program was compiled from, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not `4^k × 4^k` or a qubit is out of range.
-    pub fn apply_superoperator(&mut self, s: &CMatrix, qubits: &[usize]) {
-        let k = qubits.len();
-        assert_eq!(s.rows(), 1 << (2 * k), "superoperator size mismatch");
-        let mut combined = [0usize; MAX_KERNEL_QUBITS];
-        for (i, &q) in qubits.iter().enumerate() {
-            assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
-            combined[i] = self.n + q;
-            combined[k + i] = q;
-        }
-        batch_apply_matrix_on_bits(
+    /// Panics if the program was compiled for a different register width.
+    pub fn apply_program(&mut self, program: &StepProgram) {
+        assert_eq!(
+            program.flat_bits(),
+            2 * self.n,
+            "program compiled for another register width"
+        );
+        batch_apply_program(
             &mut self.block.re,
             &mut self.block.im,
             self.block.width,
-            s.as_slice(),
-            &combined[..2 * k],
-            2 * self.n,
-            false,
+            program,
         );
     }
 
-    /// Applies a Kraus channel `ρ ↦ Σₖ Kₖ ρ Kₖ†` to every cell, mirroring
-    /// the scalar accumulate-from-zero term structure so each cell stays
-    /// bit-identical to `DensityMatrix::apply_kraus_with`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operators are not square over `2^|qubits|` dimensions
-    /// or the channel is empty.
-    pub fn apply_kraus_with(
-        &mut self,
-        kraus: &[CMatrix],
-        qubits: &[usize],
-        ws: &mut BatchWorkspace,
-    ) {
-        assert!(!kraus.is_empty(), "empty Kraus channel");
-        let k_dim = 1usize << qubits.len();
-        for k in kraus {
-            assert_eq!(
-                (k.rows(), k.cols()),
-                (k_dim, k_dim),
-                "Kraus operator shape mismatch"
-            );
-        }
-        let len = self.block.re.len();
-        ws.ensure(len);
-        ws.acc_re[..len].fill(0.0);
-        ws.acc_im[..len].fill(0.0);
-        let k_count = qubits.len();
-        let mut row_positions = [0usize; MAX_KERNEL_QUBITS];
-        for (slot, &q) in row_positions.iter_mut().zip(qubits) {
-            assert!(q < self.n, "qubit {q} out of range for width {}", self.n);
-            *slot = self.n + q;
-        }
-        for op in kraus {
-            ws.term_re[..len].copy_from_slice(&self.block.re);
-            ws.term_im[..len].copy_from_slice(&self.block.im);
-            batch_apply_matrix_on_bits(
-                &mut ws.term_re[..len],
-                &mut ws.term_im[..len],
-                self.block.width,
-                op.as_slice(),
-                &row_positions[..k_count],
-                2 * self.n,
-                false,
-            );
-            batch_apply_matrix_on_bits(
-                &mut ws.term_re[..len],
-                &mut ws.term_im[..len],
-                self.block.width,
-                op.as_slice(),
-                qubits,
-                2 * self.n,
-                true,
-            );
-            for (a, t) in ws.acc_re[..len].iter_mut().zip(&ws.term_re[..len]) {
-                *a += *t;
-            }
-            for (a, t) in ws.acc_im[..len].iter_mut().zip(&ws.term_im[..len]) {
-                *a += *t;
-            }
-        }
-        self.block.re.copy_from_slice(&ws.acc_re[..len]);
-        self.block.im.copy_from_slice(&ws.acc_im[..len]);
+    /// Entry `(i, j)` of one cell's ρ.
+    pub fn entry(&self, cell: usize, i: usize, j: usize) -> Complex {
+        let (re, im) = self.block.at(i * self.dim + j, cell);
+        Complex::new(re, im)
     }
 
     /// Born-rule probabilities of one cell: the diagonal of that cell's ρ.
@@ -411,7 +290,6 @@ impl BatchedDensity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::EvolutionWorkspace;
 
     fn assert_dist_bitwise(a: &ProbDist, b: &ProbDist, what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
@@ -507,9 +385,12 @@ mod tests {
                 .collect();
             let mut batch = BatchedDensity::broadcast(&parked, width);
             batch.apply_unitary_per_cell(&injectors, 0);
-            batch.apply_superoperator(&sup, &[0]);
-            batch.apply_unitary(&CMatrix::cnot(), &[0, 1]);
-            batch.apply_superoperator(&sup, &[1]);
+            batch.apply_program(&StepProgram::density(2, None, &[(sup.clone(), vec![0])]));
+            batch.apply_program(&StepProgram::density(
+                2,
+                Some((&CMatrix::cnot(), &[0, 1])),
+                &[(sup.clone(), vec![1])],
+            ));
             for (c, u) in injectors.iter().enumerate() {
                 let mut rho = parked.clone();
                 rho.apply_unitary(u, &[0]);
@@ -522,33 +403,6 @@ mod tests {
                     &format!("rho width={width} cell={c}"),
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batched_kraus_matches_scalar_bitwise() {
-        let mut prep = QuantumCircuit::new(2, 0);
-        prep.h(0).t(0).cx(0, 1);
-        let mut parked = DensityMatrix::new(2).unwrap();
-        parked.run_circuit(&prep);
-        let p: f64 = 0.2;
-        let kraus = vec![
-            CMatrix::identity(2).scale_real((1.0 - p).sqrt()),
-            CMatrix::pauli_z().scale_real(p.sqrt()),
-        ];
-        let width = 4usize;
-        let mut batch = BatchedDensity::broadcast(&parked, width);
-        let mut ws = BatchWorkspace::new();
-        batch.apply_kraus_with(&kraus, &[1], &mut ws);
-        let mut rho = parked.clone();
-        let mut sws = EvolutionWorkspace::new();
-        rho.apply_kraus_with(&kraus, &[1], &mut sws);
-        for c in 0..width {
-            assert_dist_bitwise(
-                &batch.probabilities(c),
-                &rho.probabilities(),
-                &format!("kraus cell={c}"),
-            );
         }
     }
 }

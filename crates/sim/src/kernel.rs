@@ -23,9 +23,40 @@
 //! same arithmetic in the same order (gather the group, accumulate each
 //! output row from zero in column order, scatter), so results are
 //! bit-identical regardless of which path dispatches — a property the
-//! campaign layer's byte-pinned golden exports rely on.
+//! campaign layer's byte-pinned golden exports rely on. These dense scalar
+//! kernels are also the reference the batched kernels below are tested
+//! against.
+//!
+//! # Step programs: fusion and zero-skipping without changing a bit
+//!
+//! The batched density replay runs each noisy gate step — the unitary's row
+//! pass, its conjugated column pass, then every channel superoperator — as
+//! one [`StepProgram`]: consecutive ops whose flat bits fit one
+//! `2^4`-amplitude group are fused into a single gather → ops → scatter
+//! pass, and each op keeps only its coefficients that are not exactly zero
+//! (a 2-qubit depolarizing superoperator has 28 of 256; CX is a
+//! permutation). Results stay bit-identical to the dense kernels because:
+//!
+//! * Every output is accumulated from `+0.0` in ascending column order, and
+//!   a sum of the form `+0.0 + x₁ + … + xₖ` is never `−0.0` under
+//!   round-to-nearest, so no kernel output is ever `−0.0`.
+//! * For finite inputs a zero coefficient contributes a product of `±0.0`,
+//!   and adding `±0.0` to an accumulator that is never `−0.0` leaves it
+//!   unchanged — so dropping the term changes nothing. Likewise a
+//!   coefficient with a zero imaginary part may drop the `0 · im` half of
+//!   its complex product (such taps are flagged real): that half is
+//!   `±0.0`, so the term either equals the real product or is itself
+//!   `±0.0` and leaves the accumulator unchanged.
+//! * Fusion applies the same ops, each to the same amplitude groups, in the
+//!   same order: every op's groups nest inside the fused group, so applying
+//!   op after op group by group performs exactly the per-element sequence of
+//!   whole-buffer passes.
+//! * No multiply-add is fused and nothing is reassociated: every kept term
+//!   is `acc += c · x` exactly as in the dense kernels. (Do not replace a
+//!   lone `+0.0 + 1 · x` with a move, even for a permutation like CX: it
+//!   maps an input `−0.0` to `+0.0`, and the dense kernels do too.)
 
-use qufi_math::Complex;
+use qufi_math::{CMatrix, Complex};
 
 /// Largest supported operand count: 3-qubit gates (Toffoli) and 2-qubit
 /// channel superoperators (4 combined row/column bits).
@@ -298,7 +329,8 @@ macro_rules! dispatch_width {
 
 /// Batched counterpart of [`apply_matrix_on_bits`]: applies one shared
 /// `2^k × 2^k` matrix to every cell of a cell-major split-complex buffer
-/// holding `width` states of `2^m` amplitudes each.
+/// holding `width` states of `2^m` amplitudes each. One operand runs the
+/// pair kernel; wider operands run as a one-op [`StepProgram`].
 pub(crate) fn batch_apply_matrix_on_bits(
     re: &mut [f64],
     im: &mut [f64],
@@ -308,54 +340,20 @@ pub(crate) fn batch_apply_matrix_on_bits(
     m: usize,
     conjugate: bool,
 ) {
-    let k = positions.len();
     debug_assert_eq!(re.len(), width << m, "buffer is not width · 2^m reals");
     debug_assert_eq!(re.len(), im.len());
-    debug_assert_eq!(u.len(), 1usize << (2 * k), "matrix size mismatch");
-    debug_assert!(positions.iter().all(|&q| q < m));
-    assert!(
-        k <= MAX_KERNEL_QUBITS,
-        "kernel supports at most {MAX_KERNEL_QUBITS} operand qubits"
-    );
     assert!(
         (1..=MAX_BATCH_CELLS).contains(&width),
         "batch width must be 1..={MAX_BATCH_CELLS}"
     );
-    match k {
-        1 => dispatch_width!(width => batch_apply_1q(re, im, u, positions[0], conjugate)),
-        2 => batch_apply_2q(re, im, width, u, positions[0], positions[1], conjugate),
-        _ => batch_apply_generic(re, im, width, u, positions, m, conjugate),
+    if let [q] = positions {
+        debug_assert_eq!(u.len(), 4, "matrix size mismatch");
+        debug_assert!(*q < m);
+        dispatch_width!(width => batch_apply_1q(re, im, u, *q, conjugate));
+    } else {
+        let program = StepProgram::compile(m, &[ProgramOp::new(u, positions, conjugate)]);
+        batch_apply_program(re, im, width, &program);
     }
-}
-
-/// Cells per register tile in the 2q and generic kernels. Tiling bounds the
-/// live accumulator set — a full-width accumulator block for a 4×4 or 16×16
-/// transform spills registers at `width` 16 — while a remainder tile narrower
-/// than the constant just runs shorter; per-cell arithmetic order is
-/// unchanged either way. The sizes are empirical on the bv-4 density
-/// workload: the 4×4 transform peaks at 4 lanes (its 4-row accumulator block
-/// plus gathers stays register-resident with room for the compiler to
-/// software-pipeline), the 16×16 superoperator transform at 8 lanes (one
-/// 512-bit vector per row, amortizing its much larger gather).
-const BATCH_TILE_2Q: usize = 4;
-const BATCH_TILE_GENERIC: usize = 8;
-
-/// Expands `match tile` over 1..=8 so each arm calls the tile kernel with a
-/// `const T` equal to the runtime remainder.
-macro_rules! dispatch_tile {
-    ($tile:expr => $f:ident($($args:expr),* $(,)?)) => {
-        match $tile {
-            1 => $f::<1>($($args),*),
-            2 => $f::<2>($($args),*),
-            3 => $f::<3>($($args),*),
-            4 => $f::<4>($($args),*),
-            5 => $f::<5>($($args),*),
-            6 => $f::<6>($($args),*),
-            7 => $f::<7>($($args),*),
-            8 => $f::<8>($($args),*),
-            _ => unreachable!("tile bounded by the per-kernel BATCH_TILE constant"),
-        }
-    };
 }
 
 /// Reborrows one cell row (`W` reals starting at `amp · W`) as a fixed-size
@@ -491,197 +489,392 @@ fn batch_apply_1q_per_cell_w<const W: usize>(
     }
 }
 
-/// Batched two-operand kernel: the scalar 4-amplitude gather/transform/
-/// scatter with the cell dimension as the stride-1 inner axis, walked in
-/// [`BATCH_TILE_2Q`]-cell register tiles.
-fn batch_apply_2q(
-    re: &mut [f64],
-    im: &mut [f64],
-    width: usize,
-    u: &[Complex],
-    p_hi: usize,
-    p_lo: usize,
-    conj: bool,
-) {
-    let o_hi = 1usize << p_hi;
-    let o_lo = 1usize << p_lo;
-    let mut ut_re = [0.0f64; 16];
-    let mut ut_im = [0.0f64; 16];
-    for row in 0..4 {
-        for col in 0..4 {
-            let x = u[row * 4 + col];
-            ut_re[col * 4 + row] = x.re;
-            ut_im[col * 4 + row] = if conj { -x.im } else { x.im };
-        }
-    }
-    let (qa, qb) = if p_hi < p_lo {
-        (p_hi, p_lo)
-    } else {
-        (p_lo, p_hi)
-    };
-    let mask_a = (1usize << qa) - 1;
-    let mask_b = (1usize << qb) - 1;
-    let rest = (re.len() / width) >> 2;
-    for r in 0..rest {
-        let t = ((r >> qa) << (qa + 1)) | (r & mask_a);
-        let idx = ((t >> qb) << (qb + 1)) | (t & mask_b);
-        let amps = [idx, idx | o_lo, idx | o_hi, idx | o_lo | o_hi];
-        let mut c0 = 0usize;
-        while c0 < width {
-            let tile = (width - c0).min(BATCH_TILE_2Q);
-            dispatch_tile!(tile => batch_2q_tile(re, im, width, c0, &amps, &ut_re, &ut_im));
-            c0 += tile;
+// ---------------------------------------------------------------------------
+// Step programs: fused, zero-skipping batched passes
+// ---------------------------------------------------------------------------
+
+/// Tap-byte flag: the coefficient's imaginary part is exactly zero, so the
+/// tap stores one `f64` and skips the `0 · im` half of the product.
+const TAP_REAL: u8 = 0x80;
+/// Tap-byte mask of the source's group-local amplitude index.
+const TAP_SRC: u8 = (1 << MAX_KERNEL_QUBITS) as u8 - 1;
+
+/// One matrix operation of a program before compilation: `matrix`
+/// (row-major `2^k × 2^k`, element-wise conjugated when `conjugate`) over
+/// `k` flat bit `positions`, first operand most significant — exactly the
+/// arguments of [`apply_matrix_on_bits`].
+struct ProgramOp<'a> {
+    matrix: &'a [Complex],
+    positions: &'a [usize],
+    conjugate: bool,
+}
+
+impl<'a> ProgramOp<'a> {
+    fn new(matrix: &'a [Complex], positions: &'a [usize], conjugate: bool) -> Self {
+        assert!(
+            positions.len() <= MAX_KERNEL_QUBITS,
+            "kernel supports at most {MAX_KERNEL_QUBITS} operand qubits"
+        );
+        assert_eq!(
+            matrix.len(),
+            1usize << (2 * positions.len()),
+            "matrix size mismatch"
+        );
+        ProgramOp {
+            matrix,
+            positions,
+            conjugate,
         }
     }
 }
 
-/// One register tile of [`batch_apply_2q`]: cells `c0..c0 + T` of a gathered
-/// 4-amplitude group.
-#[inline(always)]
-fn batch_2q_tile<const T: usize>(
-    re: &mut [f64],
-    im: &mut [f64],
-    width: usize,
-    c0: usize,
-    amps: &[usize; 4],
-    ut_re: &[f64; 16],
-    ut_im: &[f64; 16],
-) {
-    let mut g_re = [[0.0f64; T]; 4];
-    let mut g_im = [[0.0f64; T]; 4];
-    for (slot, &a) in amps.iter().enumerate() {
-        let base = a * width + c0;
-        g_re[slot].copy_from_slice(&re[base..base + T]);
-        g_im[slot].copy_from_slice(&im[base..base + T]);
-    }
-    let mut o_re = [[0.0f64; T]; 4];
-    let mut o_im = [[0.0f64; T]; 4];
-    for col in 0..4 {
-        for row in 0..4 {
-            let ar = ut_re[col * 4 + row];
-            let ai = ut_im[col * 4 + row];
-            for c in 0..T {
-                let (cr, ci) = (g_re[col][c], g_im[col][c]);
-                o_re[row][c] += ar * cr - ai * ci;
-                o_im[row][c] += ar * ci + ai * cr;
-            }
-        }
-    }
-    for (row, &a) in amps.iter().enumerate() {
-        let base = a * width + c0;
-        re[base..base + T].copy_from_slice(&o_re[row]);
-        im[base..base + T].copy_from_slice(&o_im[row]);
-    }
+/// A run of consecutive ops sharing one amplitude group: the union of
+/// their flat bits, at most [`MAX_KERNEL_QUBITS`] of them.
+#[derive(Debug, Clone)]
+struct Segment {
+    /// Union bits, ascending: group-local index bit `i` is flat bit
+    /// `bits[i]`.
+    bits: [u8; MAX_KERNEL_QUBITS],
+    len: u8,
+    ops: u8,
+    /// End offsets of this segment's bytes in `code` and reals in `coefs`.
+    code_end: u32,
+    coef_end: u32,
 }
 
-/// Batched generic `k ≤ 4` kernel (Toffoli, channel superoperators), walked
-/// in [`BATCH_TILE_GENERIC`]-cell register tiles.
-fn batch_apply_generic(
-    re: &mut [f64],
-    im: &mut [f64],
-    width: usize,
-    u: &[Complex],
-    positions: &[usize],
+/// A sequence of matrix operations — one noisy gate step: the unitary's row
+/// pass, its conjugated column pass, then each channel superoperator —
+/// compiled once into fused, zero-skipping form for the batched density
+/// replay.
+///
+/// Consecutive ops are grouped greedily while the union of their flat bits
+/// stays within four (`MAX_KERNEL_QUBITS`); each group (segment) is one pass
+/// over the state: gather a `2^u`-amplitude group once, run every op of the
+/// segment through stack buffers, scatter once. Each op is stored as
+/// per-output-row *taps* `(source, coefficient)` — only the coefficients
+/// that are not exactly zero, in the op matrix's ascending column order —
+/// and taps with a zero imaginary part are flagged real. See the module
+/// documentation for why this is bit-identical to the dense kernels.
+#[derive(Debug, Clone)]
+pub struct StepProgram {
+    /// Flat bits of the state the program runs on.
     m: usize,
-    conj: bool,
-) {
-    let k = positions.len();
-    let mut bit_offsets = [0usize; MAX_KERNEL_QUBITS];
-    for (j, &q) in positions.iter().enumerate() {
-        bit_offsets[k - 1 - j] = 1usize << q;
+    segments: Vec<Segment>,
+    /// Per segment, op and group-local output row in order: the row's tap
+    /// count, then one byte per tap (source index | [`TAP_REAL`]).
+    code: Vec<u8>,
+    /// Coefficients in tap order: one real per real tap, `re, im` per
+    /// complex tap.
+    coefs: Vec<f64>,
+    taps_per_cell: u64,
+    dense_taps_per_cell: u64,
+}
+
+impl StepProgram {
+    /// Compiles one noisy density-matrix step on an `n`-qubit ρ: `ρ ↦ UρU†`
+    /// for the optional `unitary` (row pass at flat bits `n + qubits`,
+    /// conjugated column pass at `qubits`), then each `(superoperator,
+    /// targets)` channel at the combined bits `[n + targets..., targets...]`
+    /// — the exact op sequence of `DensityMatrix::apply_unitary` followed by
+    /// `DensityMatrix::apply_superoperator` per channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range qubits, matrices of the wrong size, or
+    /// operands wider than the kernels support.
+    pub fn density(
+        n: usize,
+        unitary: Option<(&CMatrix, &[usize])>,
+        channels: &[(CMatrix, Vec<usize>)],
+    ) -> Self {
+        let bits = |qs: &[usize], row: bool| -> Vec<usize> {
+            qs.iter()
+                .map(|&q| {
+                    assert!(q < n, "qubit {q} out of range for width {n}");
+                    if row {
+                        n + q
+                    } else {
+                        q
+                    }
+                })
+                .collect()
+        };
+        let mut positions: Vec<(&[Complex], Vec<usize>, bool)> = Vec::new();
+        if let Some((u, qubits)) = unitary {
+            positions.push((u.as_slice(), bits(qubits, true), false));
+            positions.push((u.as_slice(), bits(qubits, false), true));
+        }
+        for (s, targets) in channels {
+            let mut combined = bits(targets, true);
+            combined.extend(bits(targets, false));
+            positions.push((s.as_slice(), combined, false));
+        }
+        let ops: Vec<ProgramOp<'_>> = positions
+            .iter()
+            .map(|(u, p, conj)| ProgramOp::new(u, p, *conj))
+            .collect();
+        Self::compile(2 * n, &ops)
     }
-    let mut sorted = [0usize; MAX_KERNEL_QUBITS];
-    sorted[..k].copy_from_slice(positions);
-    sorted[..k].sort_unstable();
 
-    let group = 1usize << k;
-    let rest = 1usize << (m - k);
+    /// Compiles `ops` for a state of `2^m` amplitudes.
+    fn compile(m: usize, ops: &[ProgramOp<'_>]) -> Self {
+        let mut program = StepProgram {
+            m,
+            segments: Vec::new(),
+            code: Vec::new(),
+            coefs: Vec::new(),
+            taps_per_cell: 0,
+            dense_taps_per_cell: 0,
+        };
+        let mut start = 0;
+        let mut union = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            let mut mask = 0usize;
+            for &p in op.positions {
+                assert!(p < m, "flat bit {p} out of range for 2^{m} amplitudes");
+                assert_eq!(mask & (1 << p), 0, "repeated operand bit {p}");
+                mask |= 1 << p;
+            }
+            program.dense_taps_per_cell += 1u64 << (m + op.positions.len());
+            if (union | mask).count_ones() as usize > MAX_KERNEL_QUBITS {
+                program.push_segment(union, &ops[start..i]);
+                start = i;
+                union = 0;
+            }
+            union |= mask;
+        }
+        if start < ops.len() {
+            program.push_segment(union, &ops[start..]);
+        }
+        // A program lives as long as its prepared point: drop growth slack.
+        program.segments.shrink_to_fit();
+        program.code.shrink_to_fit();
+        program.coefs.shrink_to_fit();
+        program
+    }
 
-    let mut pos = [0usize; 1 << MAX_KERNEL_QUBITS];
-    for (mm, slot) in pos.iter_mut().enumerate().take(group) {
-        let mut off = 0usize;
-        for (b, &bo) in bit_offsets.iter().enumerate().take(k) {
-            if (mm >> b) & 1 == 1 {
-                off |= bo;
+    fn push_segment(&mut self, union: usize, ops: &[ProgramOp<'_>]) {
+        let mut bits = [0u8; MAX_KERNEL_QUBITS];
+        let mut len = 0usize;
+        for b in 0..self.m {
+            if union >> b & 1 == 1 {
+                bits[len] = b as u8;
+                len += 1;
             }
         }
-        *slot = off;
+        let local = |p: usize| {
+            bits[..len]
+                .iter()
+                .position(|&b| b as usize == p)
+                .expect("bit in union")
+        };
+        let code_start = self.code.len();
+        for op in ops {
+            let k = op.positions.len();
+            // Group-local bit of each matrix bit: matrix bit `k-1-j` is
+            // `positions[j]`.
+            let mut lbit = [0usize; MAX_KERNEL_QUBITS];
+            let mut op_mask = 0usize;
+            for (j, &p) in op.positions.iter().enumerate() {
+                lbit[k - 1 - j] = local(p);
+                op_mask |= 1 << local(p);
+            }
+            let deposit = |mm: usize| {
+                (0..k)
+                    .filter(|&b| mm >> b & 1 == 1)
+                    .fold(0usize, |acc, b| acc | 1 << lbit[b])
+            };
+            let extract = |o: usize| (0..k).fold(0usize, |acc, b| acc | (o >> lbit[b] & 1) << b);
+            let dim = 1usize << k;
+            for out in 0..1usize << len {
+                let row = extract(out);
+                let rest = out & !op_mask;
+                let count_at = self.code.len();
+                self.code.push(0);
+                for col in 0..dim {
+                    let z = op.matrix[row * dim + col];
+                    let (re, im) = (z.re, if op.conjugate { -z.im } else { z.im });
+                    if re == 0.0 && im == 0.0 {
+                        continue;
+                    }
+                    let src = (rest | deposit(col)) as u8;
+                    if im == 0.0 {
+                        self.code.push(src | TAP_REAL);
+                        self.coefs.push(re);
+                    } else {
+                        self.code.push(src);
+                        self.coefs.extend([re, im]);
+                    }
+                }
+                self.code[count_at] = (self.code.len() - count_at - 1) as u8;
+            }
+        }
+        let taps = (self.code.len() - code_start - (ops.len() << len)) as u64;
+        self.taps_per_cell += taps << (self.m - len);
+        self.segments.push(Segment {
+            bits,
+            len: len as u8,
+            ops: u8::try_from(ops.len()).expect("segment ops fit u8"),
+            code_end: u32::try_from(self.code.len()).expect("program code fits u32"),
+            coef_end: u32::try_from(self.coefs.len()).expect("program coefficients fit u32"),
+        });
     }
 
-    let mut ut_re = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    let mut ut_im = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    for row in 0..group {
-        for col in 0..group {
-            let x = u[row * group + col];
-            ut_re[col * group + row] = x.re;
-            ut_im[col * group + row] = if conj { -x.im } else { x.im };
-        }
+    /// Flat bits of the state the program runs on (`2n` for an `n`-qubit
+    /// density matrix).
+    #[inline]
+    pub(crate) fn flat_bits(&self) -> usize {
+        self.m
     }
 
-    for r in 0..rest {
-        let mut idx = r;
-        for &q in &sorted[..k] {
-            let low = idx & ((1 << q) - 1);
-            idx = ((idx >> q) << (q + 1)) | low;
-        }
-        let mut c0 = 0usize;
-        while c0 < width {
-            let tile = (width - c0).min(BATCH_TILE_GENERIC);
-            dispatch_tile!(
-                tile => batch_generic_tile(re, im, width, c0, idx, &pos, group, &ut_re, &ut_im)
-            );
-            c0 += tile;
-        }
+    /// Coefficient applications the program executes per cell (one per
+    /// kept tap per amplitude group).
+    #[inline]
+    pub fn taps_per_cell(&self) -> u64 {
+        self.taps_per_cell
+    }
+
+    /// Coefficient applications the dense kernels execute per cell for the
+    /// same ops: `2^m · 2^k` for each `k`-bit op.
+    #[inline]
+    pub fn dense_taps_per_cell(&self) -> u64 {
+        self.dense_taps_per_cell
     }
 }
 
-/// One register tile of [`batch_apply_generic`]: cells `c0..c0 + T` of one
-/// gathered `group`-amplitude rest index. Outputs are produced in blocks of
-/// four rows so the live accumulator set stays register-resident even for
-/// the 16-row superoperator groups; the gathered stack copy keeps later row
-/// blocks reading pre-transform inputs.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // a flat register-tile kernel signature, not an API
-fn batch_generic_tile<const T: usize>(
+/// Runs `program` on every cell of a cell-major split-complex buffer
+/// holding `width` states of `2^program.m` amplitudes each.
+pub(crate) fn batch_apply_program(
     re: &mut [f64],
     im: &mut [f64],
     width: usize,
-    c0: usize,
-    idx: usize,
-    pos: &[usize; 1 << MAX_KERNEL_QUBITS],
-    group: usize,
-    ut_re: &[f64; 1 << (2 * MAX_KERNEL_QUBITS)],
-    ut_im: &[f64; 1 << (2 * MAX_KERNEL_QUBITS)],
+    program: &StepProgram,
 ) {
-    let mut g_re = [[0.0f64; T]; 1 << MAX_KERNEL_QUBITS];
-    let mut g_im = [[0.0f64; T]; 1 << MAX_KERNEL_QUBITS];
-    for mm in 0..group {
-        let base = (idx | pos[mm]) * width + c0;
-        g_re[mm].copy_from_slice(&re[base..base + T]);
-        g_im[mm].copy_from_slice(&im[base..base + T]);
-    }
-    let mut row0 = 0usize;
-    while row0 < group {
-        let rows = (group - row0).min(4);
-        let mut o_re = [[0.0f64; T]; 4];
-        let mut o_im = [[0.0f64; T]; 4];
-        for col in 0..group {
-            for dr in 0..rows {
-                let ar = ut_re[col * group + row0 + dr];
-                let ai = ut_im[col * group + row0 + dr];
-                for c in 0..T {
-                    let (cr, ci) = (g_re[col][c], g_im[col][c]);
-                    o_re[dr][c] += ar * cr - ai * ci;
-                    o_im[dr][c] += ar * ci + ai * cr;
+    assert!(
+        (1..=MAX_BATCH_CELLS).contains(&width),
+        "batch width must be 1..={MAX_BATCH_CELLS}"
+    );
+    assert_eq!(
+        re.len(),
+        width << program.m,
+        "buffer is not width · 2^m reals"
+    );
+    assert_eq!(re.len(), im.len());
+    dispatch_width!(width => batch_program_w(re, im, program));
+}
+
+/// Amplitudes in the largest segment group.
+const GROUP: usize = 1 << MAX_KERNEL_QUBITS;
+
+/// One segment's compiled ops and its group's flat offsets.
+struct SegmentRun<'a> {
+    offsets: [usize; GROUP],
+    group: usize,
+    ops: u8,
+    code: &'a [u8],
+    coefs: &'a [f64],
+}
+
+fn batch_program_w<const W: usize>(re: &mut [f64], im: &mut [f64], program: &StepProgram) {
+    // Ping-pong buffers of one `W`-cell group, shared by every group.
+    let mut buf_re = [[[0.0f64; W]; GROUP]; 2];
+    let mut buf_im = [[[0.0f64; W]; GROUP]; 2];
+    let (mut code_start, mut coef_start) = (0usize, 0usize);
+    for seg in &program.segments {
+        let (code_end, coef_end) = (seg.code_end as usize, seg.coef_end as usize);
+        let len = seg.len as usize;
+        let mut run = SegmentRun {
+            offsets: [0; GROUP],
+            group: 1 << len,
+            ops: seg.ops,
+            code: &program.code[code_start..code_end],
+            coefs: &program.coefs[coef_start..coef_end],
+        };
+        for (j, off) in run.offsets.iter_mut().enumerate().take(run.group) {
+            for (i, &b) in seg.bits[..len].iter().enumerate() {
+                if j >> i & 1 == 1 {
+                    *off |= 1 << b;
                 }
             }
         }
-        for dr in 0..rows {
-            let base = (idx | pos[row0 + dr]) * width + c0;
-            re[base..base + T].copy_from_slice(&o_re[dr]);
-            im[base..base + T].copy_from_slice(&o_im[dr]);
+        for r in 0..1usize << (program.m - len) {
+            // Deposit the rest-bits of `r` around the union holes.
+            let mut idx = r;
+            for &b in &seg.bits[..len] {
+                let b = b as usize;
+                idx = ((idx >> b) << (b + 1)) | (idx & ((1 << b) - 1));
+            }
+            program_group::<W>(re, im, idx, &run, &mut buf_re, &mut buf_im);
         }
-        row0 += rows;
+        code_start = code_end;
+        coef_start = coef_end;
+    }
+}
+
+/// One amplitude group of a segment across all `W` cells: gathers once,
+/// runs the segment's ops ping-pong through the stack buffers, scatters
+/// once. Every output row accumulates from `+0.0` over its taps in order —
+/// the dense kernels' exact per-element sequence with the exactly-zero
+/// terms left out.
+#[inline(always)]
+fn program_group<const W: usize>(
+    re: &mut [f64],
+    im: &mut [f64],
+    idx: usize,
+    run: &SegmentRun<'_>,
+    buf_re: &mut [[[f64; W]; GROUP]; 2],
+    buf_im: &mut [[[f64; W]; GROUP]; 2],
+) {
+    let group = run.group;
+    for j in 0..group {
+        let amp = idx | run.offsets[j];
+        buf_re[0][j] = *row_mut::<W>(re, amp);
+        buf_im[0][j] = *row_mut::<W>(im, amp);
+    }
+    let (code, coefs) = (run.code, run.coefs);
+    let (mut pc, mut kc) = (0usize, 0usize);
+    let mut cur = 0usize;
+    for _ in 0..run.ops {
+        let ([re0, re1], [im0, im1]) = (&mut *buf_re, &mut *buf_im);
+        let (src_re, src_im, dst_re, dst_im) = if cur == 0 {
+            (&*re0, &*im0, re1, im1)
+        } else {
+            (&*re1, &*im1, re0, im0)
+        };
+        for row in 0..group {
+            let n = code[pc] as usize;
+            let taps = &code[pc + 1..pc + 1 + n];
+            pc += 1 + n;
+            let mut acc_re = [0.0f64; W];
+            let mut acc_im = [0.0f64; W];
+            for &tap in taps {
+                let s = (tap & TAP_SRC) as usize;
+                let (xr, xi) = (&src_re[s], &src_im[s]);
+                if tap & TAP_REAL != 0 {
+                    let ar = coefs[kc];
+                    kc += 1;
+                    for c in 0..W {
+                        acc_re[c] += ar * xr[c];
+                        acc_im[c] += ar * xi[c];
+                    }
+                } else {
+                    let (ar, ai) = (coefs[kc], coefs[kc + 1]);
+                    kc += 2;
+                    for c in 0..W {
+                        acc_re[c] += ar * xr[c] - ai * xi[c];
+                        acc_im[c] += ar * xi[c] + ai * xr[c];
+                    }
+                }
+            }
+            dst_re[row] = acc_re;
+            dst_im[row] = acc_im;
+        }
+        cur ^= 1;
+    }
+    for j in 0..group {
+        let amp = idx | run.offsets[j];
+        *row_mut::<W>(re, amp) = buf_re[cur][j];
+        *row_mut::<W>(im, amp) = buf_im[cur][j];
     }
 }
 
@@ -931,5 +1124,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A matrix with a mix of exact zeros, real-only, imaginary-only,
+    /// `-0.0`-imaginary, tiny (not zero) and general entries — or, one time
+    /// in three, a permutation (exact `1.0` entries, one tap per row, like
+    /// CX).
+    fn sparse_matrix(dim: usize, next: &mut impl FnMut() -> f64) -> CMatrix {
+        let mut u = CMatrix::zeros(dim, dim);
+        if next() < -0.17 {
+            let mut cols: Vec<usize> = (0..dim).collect();
+            for r in 0..dim {
+                let i = (((next() + 0.5) * cols.len() as f64) as usize).min(cols.len() - 1);
+                u[(r, cols.remove(i))] = Complex::ONE;
+            }
+            return u;
+        }
+        for r in 0..dim {
+            for c in 0..dim {
+                let x = next();
+                u[(r, c)] = match ((x + 0.5) * 7.0) as usize {
+                    0 | 1 => Complex::ZERO,
+                    2 => Complex::new(x, 0.0),
+                    3 => Complex::new(0.0, x),
+                    4 => Complex::new(x, -0.0),
+                    5 => Complex::new(x * 1e-300, 0.0),
+                    _ => Complex::new(x, next()),
+                };
+            }
+        }
+        u
+    }
+
+    /// Programs over arbitrary flat-bit ops — 1- to 4-bit unions, ops that
+    /// must split into segments, either operand order — are bit-identical,
+    /// cell by cell, to the dense scalar kernels applied op after op, on
+    /// states holding exact `+0.0` and `-0.0` entries.
+    #[test]
+    fn programs_match_sequential_scalar_kernels_bitwise() {
+        let m = 5usize;
+        let op_sets: Vec<Vec<(Vec<usize>, bool)>> = vec![
+            vec![(vec![2], false)],
+            vec![(vec![0], false), (vec![0], true)],
+            vec![(vec![3, 1], false), (vec![1, 3], true), (vec![3], false)],
+            vec![(vec![4, 0, 2], false), (vec![1, 3], true)],
+            vec![
+                (vec![0, 1, 2], false),
+                (vec![3, 4, 0], true),
+                (vec![2, 4], false),
+            ],
+            vec![
+                (vec![4, 1, 0, 2], false),
+                (vec![3], true),
+                (vec![3, 2, 1, 0], false),
+            ],
+        ];
+        for (set_no, set) in op_sets.iter().enumerate() {
+            let mut next = rng(0x5EED_0000 + set_no as u64);
+            let mats: Vec<CMatrix> = set
+                .iter()
+                .map(|(p, _)| sparse_matrix(1 << p.len(), &mut next))
+                .collect();
+            let ops: Vec<ProgramOp<'_>> = set
+                .iter()
+                .zip(&mats)
+                .map(|((p, conj), u)| ProgramOp::new(u.as_slice(), p, *conj))
+                .collect();
+            let program = StepProgram::compile(m, &ops);
+            for width in [1usize, 3, 8, MAX_BATCH_CELLS] {
+                let states: Vec<Vec<Complex>> = (0..width)
+                    .map(|_| {
+                        (0..1 << m)
+                            .map(|_| {
+                                let pick = |x: f64| match ((x + 0.5) * 4.0) as usize {
+                                    0 => 0.0,
+                                    1 => -0.0,
+                                    _ => x,
+                                };
+                                Complex::new(pick(next()), pick(next()))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut scalar = states.clone();
+                for s in &mut scalar {
+                    for ((p, conj), u) in set.iter().zip(&mats) {
+                        apply_matrix_on_bits(s, u.as_slice(), p, m, *conj);
+                    }
+                }
+                let (mut re, mut im) = pack(&states);
+                batch_apply_program(&mut re, &mut im, width, &program);
+                assert_cell_bitwise(
+                    &re,
+                    &im,
+                    width,
+                    &scalar,
+                    &format!("op set {set_no} width={width}"),
+                );
+            }
+        }
+    }
+
+    /// The tap counters: CX's row pass keeps one tap per output row, and a
+    /// dense op of `k` bits costs `2^m · 2^k` applications per cell.
+    #[test]
+    fn program_tap_counts() {
+        let cx = CMatrix::cnot();
+        let program = StepProgram::compile(3, &[ProgramOp::new(cx.as_slice(), &[0, 2], false)]);
+        assert_eq!(program.taps_per_cell(), 8);
+        assert_eq!(program.dense_taps_per_cell(), 8 * 4);
+        let zero = CMatrix::zeros(2, 2);
+        let program = StepProgram::compile(3, &[ProgramOp::new(zero.as_slice(), &[1], false)]);
+        assert_eq!(program.taps_per_cell(), 0);
+        assert_eq!(program.dense_taps_per_cell(), 8 * 2);
     }
 }

@@ -53,12 +53,13 @@ pub mod statevector;
 pub mod unitary;
 pub mod workspace;
 
-pub use batch::{BatchWorkspace, BatchedDensity, BatchedStatevector, MAX_BATCH_CELLS};
+pub use batch::{BatchedDensity, BatchedStatevector, MAX_BATCH_CELLS};
 pub use circuit::{Instruction, Op, QuantumCircuit};
 pub use counts::{Counts, ProbDist};
 pub use cursor::{CircuitCursor, EvolvableState};
 pub use density::DensityMatrix;
 pub use error::SimError;
 pub use gate::Gate;
+pub use kernel::StepProgram;
 pub use statevector::Statevector;
 pub use workspace::EvolutionWorkspace;

@@ -10,11 +10,16 @@
 //! `< 1e-12` per application, and unitary application must be **bitwise**
 //! invariant under kernel dispatch: padding a gate with an identity operand
 //! (which reroutes it through the wider specialized/generic kernel paths)
-//! must not change a single bit of the state.
+//! must not change a single bit of the state. Fused, zero-skipping step
+//! programs (the batched density replay) must be **bitwise** equal to the
+//! dense scalar unitary + superoperator sequence they were compiled from.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
-use qufi_sim::{DensityMatrix, EvolutionWorkspace, Gate, Statevector};
+use qufi_sim::{
+    BatchedDensity, DensityMatrix, EvolutionWorkspace, Gate, Statevector, StepProgram,
+    MAX_BATCH_CELLS,
+};
 
 /// Embeds a `2^k × 2^k` operator over `qubits` of an `n`-qubit register
 /// into the full `2^n × 2^n` matrix, entry by entry. Matches the kernel's
@@ -290,5 +295,135 @@ proptest! {
         // The evolved state is still a density matrix.
         prop_assert!((rho.trace().re - 1.0).abs() < 1e-9);
         prop_assert!(rho.is_hermitian(1e-9));
+    }
+}
+
+/// Deterministic xorshift stream in `[-0.5, 0.5)` for the step-program
+/// property (one seed draws a whole case).
+fn stream(mut seed: u64) -> impl FnMut() -> f64 {
+    seed |= 1;
+    move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    }
+}
+
+/// A `dim × dim` matrix mixing exact zeros, real-only, imaginary-only,
+/// `-0.0`-imaginary, tiny (not zero) and general entries — or, one time in
+/// three, a permutation (exact `1.0` entries, one tap per row, like CX).
+fn sparse_matrix(dim: usize, next: &mut impl FnMut() -> f64) -> CMatrix {
+    let mut u = CMatrix::zeros(dim, dim);
+    if next() < -0.17 {
+        let mut cols: Vec<usize> = (0..dim).collect();
+        for r in 0..dim {
+            let i = (((next() + 0.5) * cols.len() as f64) as usize).min(cols.len() - 1);
+            u[(r, cols.remove(i))] = Complex::ONE;
+        }
+        return u;
+    }
+    for r in 0..dim {
+        for c in 0..dim {
+            let x = next();
+            u[(r, c)] = match ((x + 0.5) * 7.0) as usize {
+                0 | 1 => Complex::ZERO,
+                2 => Complex::new(x, 0.0),
+                3 => Complex::new(0.0, x),
+                4 => Complex::new(x, -0.0),
+                5 => Complex::new(x * 1e-300, 0.0),
+                _ => Complex::new(x, next()),
+            };
+        }
+    }
+    u
+}
+
+/// `k` distinct qubits of `0..n` in random order.
+fn distinct_qubits(k: usize, n: usize, next: &mut impl FnMut() -> f64) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..n).collect();
+    let mut out = Vec::with_capacity(k);
+    for _ in 0..k {
+        let i = (((next() + 0.5) * pool.len() as f64) as usize).min(pool.len() - 1);
+        out.push(pool.remove(i));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A fused program — the gate's row and conjugated column passes plus
+    /// its channel superoperators — is bitwise equal, cell by cell, to
+    /// `DensityMatrix::apply_unitary` followed by `apply_superoperator` per
+    /// channel. States carry exact `+0.0`/`-0.0` entries (or, with
+    /// `distinct`, differ per cell through a per-cell injector); matrices
+    /// carry exact zeros and real-, imaginary- and `-0.0`-imaginary
+    /// entries; 2q operands come in either order, and a 3q gate (6 flat
+    /// bits) must split into segments. Program unions span 2–4 flat bits.
+    #[test]
+    fn step_programs_match_dense_scalar_sequence_bitwise(
+        seed in 0u64..u64::MAX,
+        width in 1usize..=MAX_BATCH_CELLS,
+        gate_qubits in 0usize..4,
+        n_channels in 0usize..4,
+        distinct in any::<bool>(),
+    ) {
+        let mut next = stream(seed);
+        let signed_zeros = |x: f64| match ((x + 0.5) * 4.0) as usize {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        };
+        let amps: Vec<Complex> = (0..1 << N)
+            .map(|_| Complex::new(signed_zeros(next()), signed_zeros(next())))
+            .collect();
+        let base = DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps));
+        let gate = (gate_qubits > 0).then(|| {
+            let qs = distinct_qubits(gate_qubits, N, &mut next);
+            (sparse_matrix(1 << qs.len(), &mut next), qs)
+        });
+        let channels: Vec<(CMatrix, Vec<usize>)> = (0..n_channels)
+            .map(|_| {
+                let k = if next() < 0.0 { 1 } else { 2 };
+                let qs = distinct_qubits(k, N, &mut next);
+                (sparse_matrix(1 << (2 * k), &mut next), qs)
+            })
+            .collect();
+        let injectors: Vec<CMatrix> = (0..width)
+            .map(|c| CMatrix::u_gate(0.3 * c as f64 + next(), next(), 0.0))
+            .collect();
+
+        let program = StepProgram::density(
+            N,
+            gate.as_ref().map(|(u, qs)| (u, qs.as_slice())),
+            &channels,
+        );
+        let mut batch = BatchedDensity::broadcast(&base, width);
+        if distinct {
+            batch.apply_unitary_per_cell(&injectors, 0);
+        }
+        batch.apply_program(&program);
+        for (c, injector) in injectors.iter().enumerate() {
+            let mut rho = base.clone();
+            if distinct {
+                rho.apply_unitary(injector, &[0]);
+            }
+            if let Some((u, qs)) = &gate {
+                rho.apply_unitary(u, qs);
+            }
+            for (s, qs) in &channels {
+                rho.apply_superoperator(s, qs);
+            }
+            for i in 0..rho.dim() {
+                for j in 0..rho.dim() {
+                    let (x, y) = (batch.entry(c, i, j), rho.entry(i, j));
+                    prop_assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "cell {c} entry ({i},{j}): program {x:?} vs dense {y:?}"
+                    );
+                }
+            }
+        }
     }
 }

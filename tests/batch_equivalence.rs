@@ -49,7 +49,17 @@ fn mid_point(qc: &QuantumCircuit) -> InjectionPoint {
 }
 
 fn assert_grids_match<E: SweepExecutor>(ex: &E, grid: &FaultGrid, threads: usize, label: &str) {
-    for w in registry_workloads() {
+    assert_workload_grids_match(ex, &registry_workloads(), grid, threads, label);
+}
+
+fn assert_workload_grids_match<E: SweepExecutor>(
+    ex: &E,
+    workloads: &[Workload],
+    grid: &FaultGrid,
+    threads: usize,
+    label: &str,
+) {
+    for w in workloads {
         let prepared = ex
             .prepare(&w.circuit, mid_point(&w.circuit))
             .unwrap_or_else(|e| panic!("{label}/{}: prepare: {e}", w.name));
@@ -75,6 +85,21 @@ fn batched_paper_grid_matches_scalar_ideal() {
 fn batched_paper_grid_matches_scalar_noisy() {
     let ex = NoisyExecutor::new(BackendCalibration::lima());
     assert_grids_match(&ex, &FaultGrid::paper(), 2, "noisy-lima");
+}
+
+/// The paper's own 4-qubit workloads on jakarta (`manifests/paper.toml`):
+/// long suffixes on a 4-qubit ρ, dominated by CX steps carrying 2-qubit
+/// depolarizing plus relaxation channels — the shape the fused step
+/// programs were built for, which the shorter 3-qubit registry cases
+/// only sample.
+#[test]
+fn batched_paper_grid_matches_scalar_on_paper_workloads() {
+    let workloads: Vec<Workload> = ["bv-4", "dj-4", "qft-4"]
+        .iter()
+        .map(|name| qufi::algos::build_workload(name).expect("paper workload"))
+        .collect();
+    let ex = NoisyExecutor::new(BackendCalibration::jakarta());
+    assert_workload_grids_match(&ex, &workloads, &FaultGrid::paper(), 2, "noisy-jakarta-4q");
 }
 
 #[test]
