@@ -12,7 +12,7 @@ use crate::error::CliError;
 use crate::job::{JobRuntime, JobSpec};
 use crate::toml;
 use qufi_core::report::records_to_csv;
-use qufi_core::serialize::records_from_csv;
+use qufi_core::serialize::{records_from_csv, RECORDS_CSV_HEADER};
 use qufi_core::InjectionRecord;
 use std::fmt::Write as _;
 use std::fs;
@@ -141,6 +141,21 @@ fn fsync_enabled() -> bool {
     })
 }
 
+/// One shard of records rendered as checkpoint CSV, header included,
+/// ready for [`CheckpointStore::append_rendered`].
+pub struct RenderedShard {
+    csv: String,
+}
+
+impl RenderedShard {
+    /// Renders `shard` with the record codec.
+    pub fn new(shard: &[InjectionRecord]) -> Self {
+        RenderedShard {
+            csv: records_to_csv(shard),
+        }
+    }
+}
+
 /// The checkpoint directory of one campaign.
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -256,33 +271,43 @@ impl CheckpointStore {
     }
 
     /// Appends one shard of records (creating the file, with header, on
-    /// first use). The shard is written in a single `write_all` so only
-    /// a hard crash can tear a line.
+    /// first use) — [`RenderedShard::new`] then
+    /// [`CheckpointStore::append_rendered`].
     ///
     /// # Errors
     ///
     /// Filesystem failures.
     pub fn append_records(&self, job_id: &str, shard: &[InjectionRecord]) -> Result<(), CliError> {
-        if shard.is_empty() {
+        self.append_rendered(job_id, &RenderedShard::new(shard))
+    }
+
+    /// Appends a rendered shard, with the header only when the file is
+    /// empty. The shard is written in a single `write_all` so only a
+    /// hard crash can tear a line. Appends to one job must not run
+    /// concurrently; rendering is the part that needs no lock.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures.
+    pub fn append_rendered(&self, job_id: &str, shard: &RenderedShard) -> Result<(), CliError> {
+        if shard.csv.len() == RECORDS_CSV_HEADER.len() {
             return Ok(());
         }
         let path = self.records_path(job_id);
-        let csv = records_to_csv(shard);
-        let (header, rows) = csv.split_once('\n').expect("csv has a header line");
         let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(|e| CliError::io("opening job records", &path, e))?;
-        let payload = if file
+        let empty = file
             .metadata()
             .map_err(|e| CliError::io("inspecting job records", &path, e))?
             .len()
-            == 0
-        {
-            format!("{header}\n{rows}")
+            == 0;
+        let payload = if empty {
+            &shard.csv
         } else {
-            rows.to_string()
+            &shard.csv[RECORDS_CSV_HEADER.len()..]
         };
         file.write_all(payload.as_bytes())
             .map_err(|e| CliError::io("appending job records", &path, e))?;

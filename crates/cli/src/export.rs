@@ -21,10 +21,13 @@ use crate::checkpoint::{CheckpointStore, JobMeta};
 use crate::error::CliError;
 use crate::job::job_matrix;
 use crate::manifest::Manifest;
-use qufi_core::mapping::qubit_reliability;
-use qufi_core::report::{records_to_csv, Heatmap};
-use qufi_core::serialize::{campaign_to_json, heatmap_to_json, json};
-use qufi_core::CampaignResult;
+use qufi_core::mapping::{qubit_reliability, QubitReliability};
+use qufi_core::report::Heatmap;
+use qufi_core::serialize::{
+    json, push_campaign_json, push_fixed, push_heatmap_json, push_records_csv, push_uint,
+    RECORDS_CSV_HEADER,
+};
+use qufi_core::{CampaignResult, CampaignStats};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,6 +49,9 @@ pub struct ExportReport {
 struct JobExport {
     meta: JobMeta,
     result: CampaignResult,
+    /// Computed once; `records.json`, both summaries and the table all
+    /// report it.
+    stats: CampaignStats,
     points_done: usize,
 }
 
@@ -90,53 +96,48 @@ pub fn export_artifacts(manifest: &Manifest, out_dir: &Path) -> Result<ExportRep
         result.merge_records(records);
         let points_done = result.len() / grid.len().max(1);
         jobs.push(JobExport {
+            stats: result.stats(),
             meta,
             result,
             points_done,
         });
     }
 
+    // One artifact at a time through one reused buffer: peak memory is
+    // the largest artifact, not a job's whole tree.
     let mut files = Vec::new();
+    let mut buf = String::new();
     for job in &jobs {
         let dir = results_dir.join(&job.meta.id);
         fs::create_dir_all(&dir).map_err(|e| CliError::io("creating job directory", &dir, e))?;
-        write(
-            &mut files,
-            dir.join("records.csv"),
-            records_to_csv(&job.result.records),
-        )?;
-        write(
-            &mut files,
-            dir.join("records.json"),
-            campaign_to_json(&job.result),
-        )?;
+        let mut artifact = |name: &str, render: &dyn Fn(&mut String)| {
+            write(&mut files, &mut buf, dir.join(name), render)
+        };
+        artifact("records.csv", &|out| {
+            out.push_str(RECORDS_CSV_HEADER);
+            push_records_csv(out, &job.result.records);
+        })?;
+        artifact("records.json", &|out| {
+            push_campaign_json(out, &job.result, &job.stats);
+        })?;
         let heatmap = Heatmap::from_campaign(&job.result);
-        write(&mut files, dir.join("heatmap.csv"), heatmap.to_csv())?;
-        write(
-            &mut files,
-            dir.join("heatmap.json"),
-            heatmap_to_json(&heatmap),
-        )?;
-        write(
-            &mut files,
-            dir.join("qubit_ranking.csv"),
-            ranking_csv(&job.result),
-        )?;
-        write(
-            &mut files,
-            dir.join("qubit_ranking.json"),
-            ranking_json(&job.result),
-        )?;
+        artifact("heatmap.csv", &|out| heatmap.push_csv(out))?;
+        artifact("heatmap.json", &|out| push_heatmap_json(out, &heatmap))?;
+        let ranking = qubit_reliability(&job.result);
+        artifact("qubit_ranking.csv", &|out| ranking_csv(out, &ranking))?;
+        artifact("qubit_ranking.json", &|out| ranking_json(out, &ranking))?;
     }
     write(
         &mut files,
+        &mut buf,
         results_dir.join("summary.csv"),
-        summary_csv(manifest, &jobs),
+        &|out| summary_csv(out, manifest, &jobs),
     )?;
     write(
         &mut files,
+        &mut buf,
         results_dir.join("summary.json"),
-        summary_json(manifest, &jobs),
+        &|out| summary_json(out, manifest, &jobs),
     )?;
 
     let jobs_complete = jobs.iter().filter(|j| j.is_complete()).count();
@@ -148,52 +149,64 @@ pub fn export_artifacts(manifest: &Manifest, out_dir: &Path) -> Result<ExportRep
     })
 }
 
-fn write(files: &mut Vec<PathBuf>, path: PathBuf, contents: String) -> Result<(), CliError> {
+/// Renders one artifact into `buf` (cleared first) and writes it.
+fn write(
+    files: &mut Vec<PathBuf>,
+    buf: &mut String,
+    path: PathBuf,
+    render: &dyn Fn(&mut String),
+) -> Result<(), CliError> {
+    buf.clear();
+    render(buf);
     crate::chaos::kill_point("export.write");
     qufi_obs::add("export.files", 1);
-    qufi_obs::add("export.bytes", contents.len() as u64);
+    qufi_obs::add("export.bytes", buf.len() as u64);
     // Atomic per artifact: a crash mid-export leaves each file either
     // old or new, never torn — and a re-export repairs the tree, since
     // everything derives from checkpoints.
-    crate::atomic_write(&path, contents.as_bytes(), "writing artifact")?;
+    crate::atomic_write(&path, buf.as_bytes(), "writing artifact")?;
     files.push(path);
     Ok(())
 }
 
-fn ranking_csv(result: &CampaignResult) -> String {
-    let mut out = String::from("qubit,mean_qvf,sdc_fraction,samples\n");
-    for r in qubit_reliability(result) {
-        let _ = writeln!(
-            out,
-            "{},{:.6},{:.6},{}",
-            r.qubit, r.mean_qvf, r.sdc_fraction, r.samples
-        );
+fn ranking_csv(out: &mut String, ranking: &[QubitReliability]) {
+    out.push_str("qubit,mean_qvf,sdc_fraction,samples\n");
+    for r in ranking {
+        push_uint(out, r.qubit as u64);
+        out.push(',');
+        push_fixed(out, r.mean_qvf, 6);
+        out.push(',');
+        push_fixed(out, r.sdc_fraction, 6);
+        out.push(',');
+        push_uint(out, r.samples as u64);
+        out.push('\n');
     }
-    out
 }
 
-fn ranking_json(result: &CampaignResult) -> String {
-    json::array(qubit_reliability(result).into_iter().map(|r| {
-        format!(
-            "{{\"qubit\":{},\"mean_qvf\":{},\"sdc_fraction\":{},\"samples\":{}}}",
-            r.qubit,
-            json::num(r.mean_qvf),
-            json::num(r.sdc_fraction),
-            r.samples
-        )
-    }))
+fn ranking_json(out: &mut String, ranking: &[QubitReliability]) {
+    json::push_array(out, ranking, |out, r| {
+        out.push_str("{\"qubit\":");
+        push_uint(out, r.qubit as u64);
+        out.push_str(",\"mean_qvf\":");
+        json::push_num(out, r.mean_qvf);
+        out.push_str(",\"sdc_fraction\":");
+        json::push_num(out, r.sdc_fraction);
+        out.push_str(",\"samples\":");
+        push_uint(out, r.samples as u64);
+        out.push('}');
+    });
 }
 
-fn summary_csv(manifest: &Manifest, jobs: &[JobExport]) -> String {
-    let mut out = String::from(
+fn summary_csv(out: &mut String, manifest: &Manifest, jobs: &[JobExport]) {
+    out.push_str(
         "job,workload,backend,scale,executor,points_done,points_total,records,\
          baseline_qvf,mean_qvf,stddev_qvf,masked,dubious,sdc,improved_fraction,complete\n",
     );
     for job in jobs {
-        let (masked, dubious, sdc) = job.result.severity_counts();
-        let _ = writeln!(
+        let s = &job.stats;
+        let _ = write!(
             out,
-            "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{masked},{dubious},{sdc},{:.6},{}",
+            "{},{},{},{},{},{},{},{},",
             job.meta.id,
             job.meta.workload,
             job.meta.backend,
@@ -202,47 +215,59 @@ fn summary_csv(manifest: &Manifest, jobs: &[JobExport]) -> String {
             job.points_done,
             job.meta.points_total,
             job.result.len(),
-            job.meta.baseline_qvf,
-            job.result.mean_qvf(),
-            job.result.stddev_qvf(),
-            job.result.improved_fraction(),
-            job.is_complete(),
         );
+        for v in [job.meta.baseline_qvf, s.mean_qvf, s.stddev_qvf] {
+            push_fixed(out, v, 6);
+            out.push(',');
+        }
+        let _ = write!(out, "{},{},{},", s.masked, s.dubious, s.sdc);
+        push_fixed(out, s.improved_fraction, 6);
+        let _ = writeln!(out, ",{}", job.is_complete());
     }
-    out
 }
 
-fn summary_json(manifest: &Manifest, jobs: &[JobExport]) -> String {
-    let rendered = jobs.iter().map(|job| {
-        let (masked, dubious, sdc) = job.result.severity_counts();
-        format!(
-            "{{\"job\":{},\"workload\":{},\"backend\":{},\"scale\":{},\
-             \"points_done\":{},\"points_total\":{},\"records\":{},\
-             \"baseline_qvf\":{},\"mean_qvf\":{},\"stddev_qvf\":{},\
-             \"severity\":{{\"masked\":{masked},\"dubious\":{dubious},\"sdc\":{sdc}}},\
-             \"improved_fraction\":{},\"complete\":{}}}",
-            json::string(&job.meta.id),
-            json::string(&job.meta.workload),
-            json::string(&job.meta.backend),
-            json::num(job.meta.scale),
+fn summary_json(out: &mut String, manifest: &Manifest, jobs: &[JobExport]) {
+    out.push_str("{\"campaign\":");
+    json::push_string(out, &manifest.name);
+    out.push_str(",\"executor\":");
+    json::push_string(out, manifest.executor.keyword());
+    let _ = write!(
+        out,
+        ",\"seed\":{},\"grid_size\":{},\"jobs\":",
+        manifest.seed,
+        manifest.grid.to_grid().map(|g| g.len()).unwrap_or_default(),
+    );
+    json::push_array(out, jobs, |out, job| {
+        let s = &job.stats;
+        out.push_str("{\"job\":");
+        json::push_string(out, &job.meta.id);
+        out.push_str(",\"workload\":");
+        json::push_string(out, &job.meta.workload);
+        out.push_str(",\"backend\":");
+        json::push_string(out, &job.meta.backend);
+        out.push_str(",\"scale\":");
+        json::push_num(out, job.meta.scale);
+        let _ = write!(
+            out,
+            ",\"points_done\":{},\"points_total\":{},\"records\":{},\"baseline_qvf\":",
             job.points_done,
             job.meta.points_total,
             job.result.len(),
-            json::num(job.meta.baseline_qvf),
-            json::num(job.result.mean_qvf()),
-            json::num(job.result.stddev_qvf()),
-            json::num(job.result.improved_fraction()),
-            job.is_complete(),
-        )
+        );
+        json::push_num(out, job.meta.baseline_qvf);
+        out.push_str(",\"mean_qvf\":");
+        json::push_num(out, s.mean_qvf);
+        out.push_str(",\"stddev_qvf\":");
+        json::push_num(out, s.stddev_qvf);
+        let _ = write!(
+            out,
+            ",\"severity\":{{\"masked\":{},\"dubious\":{},\"sdc\":{}}},\"improved_fraction\":",
+            s.masked, s.dubious, s.sdc
+        );
+        json::push_num(out, s.improved_fraction);
+        let _ = write!(out, ",\"complete\":{}}}", job.is_complete());
     });
-    format!(
-        "{{\"campaign\":{},\"executor\":{},\"seed\":{},\"grid_size\":{},\"jobs\":{}}}",
-        json::string(&manifest.name),
-        json::string(manifest.executor.keyword()),
-        manifest.seed,
-        manifest.grid.to_grid().map(|g| g.len()).unwrap_or_default(),
-        json::array(rendered),
-    )
+    out.push('}');
 }
 
 /// Renders the human-facing completion table printed after `qufi run`.
@@ -254,17 +279,16 @@ fn render_summary_table(jobs: &[JobExport]) -> String {
         "job", "records", "baseline", "mean_qvf", "masked", "dubious", "sdc"
     );
     for job in jobs {
-        let (masked, dubious, sdc) = job.result.severity_counts();
         let _ = writeln!(
             out,
             "{:<28} {:>7} {:>9.4} {:>9.4} {:>8} {:>8} {:>8}{}",
             job.meta.id,
             job.result.len(),
             job.meta.baseline_qvf,
-            job.result.mean_qvf(),
-            masked,
-            dubious,
-            sdc,
+            job.stats.mean_qvf,
+            job.stats.masked,
+            job.stats.dubious,
+            job.stats.sdc,
             if job.is_complete() { "" } else { "  (partial)" },
         );
     }

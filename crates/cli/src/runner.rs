@@ -11,7 +11,7 @@
 //! ([`crate::export`]), which makes an interrupted-and-resumed campaign
 //! byte-identical to an uninterrupted one.
 
-use crate::checkpoint::{CheckpointStore, JobMeta};
+use crate::checkpoint::{CheckpointStore, JobMeta, RenderedShard};
 use crate::error::CliError;
 use crate::job::{job_matrix, JobRuntime, RuntimeCache};
 use crate::manifest::Manifest;
@@ -223,9 +223,10 @@ pub fn run_campaign(
             let job = &jobs[job_idx];
             let _job_label = qufi_obs::job_scope(&job.meta.id);
             let shard = job.runtime.run_point_split(point, &grid, grid_threads)?;
+            let rendered = RenderedShard::new(&shard);
             {
                 let _guard = job.append_lock.lock();
-                store.append_records(&job.meta.id, &shard)?;
+                store.append_rendered(&job.meta.id, &rendered)?;
             }
             // Chaos site: abort *after* a durable append — the
             // crash-recovery tests' mid-campaign kill.

@@ -90,6 +90,23 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Summary statistics of a campaign ([`CampaignResult::stats`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CampaignStats {
+    /// Records classified masked.
+    pub masked: usize,
+    /// Records classified dubious.
+    pub dubious: usize,
+    /// Records classified as silent data corruption.
+    pub sdc: usize,
+    /// [`CampaignResult::mean_qvf`].
+    pub mean_qvf: f64,
+    /// [`CampaignResult::stddev_qvf`].
+    pub stddev_qvf: f64,
+    /// [`CampaignResult::improved_fraction`].
+    pub improved_fraction: f64,
+}
+
 /// The outcome of a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -111,12 +128,14 @@ fn record_key(r: &InjectionRecord) -> (InjectionPoint, f64, f64) {
     (r.point, r.phi, r.theta)
 }
 
+fn cmp_records(a: &InjectionRecord, b: &InjectionRecord) -> std::cmp::Ordering {
+    record_key(a)
+        .partial_cmp(&record_key(b))
+        .expect("angles are finite")
+}
+
 fn sort_records(records: &mut [InjectionRecord]) {
-    records.sort_by(|a, b| {
-        record_key(a)
-            .partial_cmp(&record_key(b))
-            .expect("angles are finite")
-    });
+    records.sort_by(cmp_records);
 }
 
 impl CampaignResult {
@@ -145,33 +164,57 @@ impl CampaignResult {
     /// campaign folding fresh injections into a checkpoint). Duplicate
     /// (point, θ, φ) entries keep the already-present record, so replaying
     /// a checkpoint over itself is a no-op; ordering is restored.
+    ///
+    /// Precisely: a new record is dropped when its (point, θ bits, φ bits)
+    /// key matches a present record or an earlier new one; the survivors
+    /// are stably sorted by (point, φ, θ) after the present records.
     pub fn merge_records(&mut self, extra: Vec<InjectionRecord>) {
         if extra.is_empty() {
             return;
         }
-        let mut seen: std::collections::HashSet<(usize, usize, u64, u64)> = self
-            .records
-            .iter()
-            .map(|r| {
-                (
-                    r.point.op_index,
-                    r.point.qubit,
-                    r.theta.to_bits(),
-                    r.phi.to_bits(),
-                )
-            })
-            .collect();
-        for r in extra {
-            if seen.insert((
-                r.point.op_index,
-                r.point.qubit,
-                r.theta.to_bits(),
-                r.phi.to_bits(),
-            )) {
-                self.records.push(r);
+        let present = self.records.len();
+        let mut all = std::mem::take(&mut self.records);
+        all.extend(extra);
+        // A stable sort of indices: within a run of equal sort keys the
+        // present records come first, then the new ones in arrival order.
+        // Bit-equal angles compare equal, so every duplicate of a key
+        // lands in the run of its first occurrence.
+        let mut order: Vec<usize> = (0..all.len()).collect();
+        order.sort_by(|&a, &b| cmp_records(&all[a], &all[b]));
+        let bits = |r: &InjectionRecord| (r.point, r.theta.to_bits(), r.phi.to_bits());
+        let mut merged: Vec<InjectionRecord> = Vec::with_capacity(all.len());
+        let mut run = 0;
+        for i in order {
+            let r = all[i];
+            if merged
+                .last()
+                .is_some_and(|last| cmp_records(last, &r).is_ne())
+            {
+                run = merged.len();
+            }
+            // A run's keys differ at most in the signs of zero angles, so
+            // it holds at most four distinct keys: the scan is short.
+            if i < present || !merged[run..].iter().any(|k| bits(k) == bits(&r)) {
+                merged.push(r);
             }
         }
-        sort_records(&mut self.records);
+        self.records = merged;
+    }
+
+    /// Severity counts, mean, standard deviation and improved fraction,
+    /// computed together for writers that report all of them. Each field
+    /// equals its single-statistic method bit for bit.
+    pub fn stats(&self) -> CampaignStats {
+        let qvfs = self.qvfs();
+        let (masked, dubious, sdc) = self.severity_counts();
+        CampaignStats {
+            masked,
+            dubious,
+            sdc,
+            mean_qvf: mean(&qvfs),
+            stddev_qvf: stddev(&qvfs),
+            improved_fraction: self.improved_fraction(),
+        }
     }
 
     /// All QVF values.
@@ -678,6 +721,69 @@ mod tests {
             rebuilt.merge_records(shard); // replaying a shard is a no-op
         }
         assert_eq!(rebuilt.records, whole.records);
+    }
+
+    #[test]
+    fn merge_keeps_the_first_occurrence_of_each_key() {
+        // The dedup key is (op, qubit, θ bits, φ bits): conflicting
+        // duplicates lose to the earlier record (existing before new,
+        // earlier before later within a batch), while ±0.0 angle twins
+        // are distinct keys that sort as equals and so keep their
+        // first-occurrence order.
+        let rec = |op: usize, theta: f64, phi: f64, qvf: f64| InjectionRecord {
+            point: InjectionPoint {
+                op_index: op,
+                qubit: 0,
+            },
+            theta,
+            phi,
+            qvf,
+        };
+        let grid = FaultGrid::custom(vec![0.0, 0.5, 1.0], vec![0.0]);
+        let mut result = CampaignResult::from_parts(
+            "t",
+            vec![0],
+            0.0,
+            grid,
+            vec![
+                rec(1, 1.0, 0.0, 0.2),
+                rec(1, 0.0, 0.0, 0.1),
+                rec(2, 0.0, -0.0, 0.3),
+            ],
+        );
+        result.merge_records(vec![
+            rec(1, 1.0, 0.0, 0.9),  // conflicts with an existing record
+            rec(1, 0.5, 0.0, 0.4),  // new
+            rec(1, 0.5, 0.0, 0.8),  // duplicate within the batch
+            rec(3, -0.0, 0.0, 0.6), // twins, the negative one first
+            rec(2, 0.0, 0.0, 0.5),  // φ twin of an existing record
+            rec(3, 0.0, 0.0, 0.7),
+            rec(2, -0.0, 0.0, 0.55), // θ twin
+            rec(2, 0.0, -0.0, 0.35), // duplicate of an existing record
+            rec(3, -0.0, 0.0, 0.65), // duplicate of a new twin
+        ]);
+        let expected = [
+            rec(1, 0.0, 0.0, 0.1),
+            rec(1, 0.5, 0.0, 0.4),
+            rec(1, 1.0, 0.0, 0.2),
+            rec(2, 0.0, -0.0, 0.3),
+            rec(2, 0.0, 0.0, 0.5),
+            rec(2, -0.0, 0.0, 0.55),
+            rec(3, -0.0, 0.0, 0.6),
+            rec(3, 0.0, 0.0, 0.7),
+        ];
+        let bits =
+            |r: &InjectionRecord| (r.point, r.theta.to_bits(), r.phi.to_bits(), r.qvf.to_bits());
+        let got: Vec<_> = result.records.iter().map(bits).collect();
+        let want: Vec<_> = expected.iter().map(bits).collect();
+        assert_eq!(got, want);
+        // Existing duplicates are never dropped, and merging nothing is a
+        // no-op that keeps them.
+        let mut dup = result.clone();
+        dup.records.push(rec(1, 0.0, 0.0, 0.15));
+        dup.merge_records(vec![rec(1, 0.0, 0.0, 0.25)]);
+        assert_eq!(dup.records.len(), expected.len() + 1);
+        assert_eq!(dup.records[1].qvf, 0.15);
     }
 
     #[test]

@@ -1347,6 +1347,10 @@ impl SiteSweep for TrajectorySweep<'_> {
                 &mut scratch.traj_sv,
                 &mut scratch.traj_ws,
             );
+            // The workspace outlives the cell; its branch tallies go to
+            // the recorder once per cell (split workers' temporaries
+            // flush when dropped).
+            scratch.traj_ws.flush_counts();
         } else {
             let per_worker_blocks = blocks.div_ceil(workers);
             // Rounding blocks up may leave trailing workers with nothing to

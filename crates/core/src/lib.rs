@@ -75,7 +75,7 @@ pub mod shard;
 
 pub use campaign::{
     golden_outputs, run_point_sweep, run_point_sweep_parallel, run_single_campaign,
-    split_thread_budget, CampaignOptions, CampaignResult, InjectionRecord,
+    split_thread_budget, CampaignOptions, CampaignResult, CampaignStats, InjectionRecord,
 };
 pub use double::{DoubleCampaignResult, DoubleInjectionRecord, DoubleOptions};
 pub use engine::{PreparedSweep, ReplayScratch, SweepExecutor};

@@ -97,6 +97,16 @@ impl Severity {
         }
     }
 
+    /// The class name the exported records carry in their `severity`
+    /// column.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Severity::Masked => "masked",
+            Severity::Dubious => "dubious",
+            Severity::Sdc => "sdc",
+        }
+    }
+
     /// The heatmap colour the paper assigns to this class.
     pub fn color_name(&self) -> &'static str {
         match self {

@@ -6,6 +6,7 @@ use crate::campaign::{CampaignResult, InjectionRecord};
 use crate::double::DoubleCampaignResult;
 use crate::fault::FaultGrid;
 use crate::metrics::Severity;
+use crate::serialize::{push_fixed, push_records_csv, push_uint, RECORDS_CSV_HEADER};
 use qufi_math::PiFraction;
 use std::fmt::Write as _;
 
@@ -176,25 +177,32 @@ impl Heatmap {
         out
     }
 
-    /// CSV rows `phi,theta,mean_qvf,count` (radians, 6 decimals).
+    /// CSV rows `phi,theta,mean_qvf,count` (radians, 6 decimals; the
+    /// mean is empty for empty cells).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("phi,theta,mean_qvf,count\n");
+        let mut out = String::new();
+        self.push_csv(&mut out);
+        out
+    }
+
+    /// Appends [`Heatmap::to_csv`]'s text to `out`.
+    pub fn push_csv(&self, out: &mut String) {
+        out.push_str("phi,theta,mean_qvf,count\n");
         for (pi, &phi) in self.phis.iter().enumerate() {
             for (ti, &theta) in self.thetas.iter().enumerate() {
+                push_fixed(out, phi, 6);
+                out.push(',');
+                push_fixed(out, theta, 6);
+                out.push(',');
                 let v = self.value(pi, ti);
-                let _ = writeln!(
-                    out,
-                    "{phi:.6},{theta:.6},{},{}",
-                    if v.is_nan() {
-                        "".to_string()
-                    } else {
-                        format!("{v:.6}")
-                    },
-                    self.count(pi, ti)
-                );
+                if !v.is_nan() {
+                    push_fixed(out, v, 6);
+                }
+                out.push(',');
+                push_uint(out, self.count(pi, ti) as u64);
+                out.push('\n');
             }
         }
-        out
     }
 }
 
@@ -289,23 +297,8 @@ impl Histogram {
 /// CSV export of raw single-fault records:
 /// `op_index,qubit,theta,phi,qvf,severity`.
 pub fn records_to_csv(records: &[InjectionRecord]) -> String {
-    let mut out = String::from("op_index,qubit,theta,phi,qvf,severity\n");
-    for r in records {
-        let _ = writeln!(
-            out,
-            "{},{},{:.9},{:.9},{:.6},{}",
-            r.point.op_index,
-            r.point.qubit,
-            r.theta,
-            r.phi,
-            r.qvf,
-            match Severity::classify(r.qvf) {
-                Severity::Masked => "masked",
-                Severity::Dubious => "dubious",
-                Severity::Sdc => "sdc",
-            }
-        );
-    }
+    let mut out = String::from(RECORDS_CSV_HEADER);
+    push_records_csv(&mut out, records);
     out
 }
 

@@ -134,15 +134,47 @@ impl TrajPlan {
 /// applied to a copy of the state so the winner can be committed by a
 /// buffer swap instead of a recompute. One workspace per worker thread;
 /// after warmup the shot loop allocates nothing.
+///
+/// The workspace also tallies the branch telemetry of the draws it
+/// served (`traj.branch_draws`, `traj.branch_evals`,
+/// `traj.branch_fallback`, and one `sim.state_copies` per evaluated
+/// branch), so the per-draw loop touches no recorder. The tallies go to
+/// the recorder on [`TrajWorkspace::flush_counts`] and on drop.
 #[derive(Default)]
 pub struct TrajWorkspace {
     scratch: Option<Statevector>,
+    draws: u64,
+    evals: u64,
+    fallbacks: u64,
 }
 
 impl TrajWorkspace {
     /// An empty workspace; buffers are grown on first use.
     pub fn new() -> Self {
         TrajWorkspace::default()
+    }
+
+    /// Adds the tallied branch counts to the calling thread's recorder
+    /// and zeroes them. Counters that stayed zero are not touched, as
+    /// when they were recorded per draw.
+    pub fn flush_counts(&mut self) {
+        for (name, n) in [
+            ("traj.branch_draws", self.draws),
+            ("traj.branch_evals", self.evals),
+            ("sim.state_copies", self.evals),
+            ("traj.branch_fallback", self.fallbacks),
+        ] {
+            if n > 0 {
+                qufi_obs::add(name, n);
+            }
+        }
+        (self.draws, self.evals, self.fallbacks) = (0, 0, 0);
+    }
+}
+
+impl Drop for TrajWorkspace {
+    fn drop(&mut self) {
+        self.flush_counts();
     }
 }
 
@@ -212,7 +244,7 @@ impl TrajectoryCursor {
             self.sv.apply_matrix(only, &ch.targets);
             return;
         }
-        qufi_obs::add("traj.branch_draws", 1);
+        ws.draws += 1;
         let u: f64 = rng.gen();
         let scratch = ws
             .scratch
@@ -220,8 +252,8 @@ impl TrajectoryCursor {
         let mut cumulative = 0.0f64;
         let mut weight = 1.0f64;
         for op in &ch.ops {
-            qufi_obs::add("traj.branch_evals", 1);
-            scratch.copy_from(&self.sv);
+            ws.evals += 1;
+            scratch.copy_from_untallied(&self.sv);
             scratch.apply_matrix(op, &ch.targets);
             weight = scratch
                 .amplitudes()
@@ -237,7 +269,7 @@ impl TrajectoryCursor {
         }
         // Σwᵢ fell short of the draw by rounding: commit the last branch,
         // which is still parked in scratch.
-        qufi_obs::add("traj.branch_fallback", 1);
+        ws.fallbacks += 1;
         std::mem::swap(&mut self.sv, scratch);
         self.sv.scale(1.0 / weight.sqrt());
     }

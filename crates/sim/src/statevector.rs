@@ -177,6 +177,13 @@ impl Statevector {
     /// restore a parked prefix state into per-thread scratch.
     pub fn copy_from(&mut self, src: &Statevector) {
         qufi_obs::add("sim.state_copies", 1);
+        self.copy_from_untallied(src);
+    }
+
+    /// [`Statevector::copy_from`] without the `sim.state_copies` tally,
+    /// for hot loops that count their copies themselves and add them
+    /// to the recorder in bulk.
+    pub fn copy_from_untallied(&mut self, src: &Statevector) {
         self.n = src.n;
         self.amps.clone_from(&src.amps);
     }
