@@ -60,7 +60,7 @@ use qufi_sim::{
 use qufi_transpile::Transpiler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// An [`Executor`] that can split a fault sweep into per-point preparation
 /// and per-configuration replay.
@@ -796,7 +796,8 @@ struct PhysicalSweep<'a> {
     physical: QuantumCircuit,
     /// Splice sites in compact physical coordinates, program order.
     sites: Vec<SpliceSite>,
-    model: NoiseModel,
+    /// Shared with the executor's model cache (hardware sweeps own theirs).
+    model: Arc<NoiseModel>,
     /// The physical circuit compiled against the model: gate matrices and
     /// channel superoperators resolved once per point, reused per replay.
     plan: NoisePlan,
@@ -847,7 +848,7 @@ impl<'a> PhysicalSweep<'a> {
         transpiler: &'a Transpiler,
         marked: QuantumCircuit,
         n_sites: usize,
-        model_for: impl FnOnce(&[usize]) -> NoiseModel,
+        model_for: impl FnOnce(&[usize]) -> Arc<NoiseModel>,
     ) -> Result<Self, ExecError> {
         let (physical, sites, active) = transpile_marked(transpiler, &marked, n_sites)?;
         let plan_span = qufi_obs::span("prepare.plan_ns");
@@ -1055,7 +1056,7 @@ impl<'a> HardwarePrepared<'a> {
             .with_drift(&mut rng, executor.drift_sigma());
         let sample_base: u64 = rng.gen();
         let sweep = PhysicalSweep::prepare(executor.transpiler(), marked, n_sites, |active| {
-            cal.restrict(active).noise_model()
+            Arc::new(cal.restrict(active).noise_model())
         })?;
         Ok(HardwarePrepared {
             sweep,
@@ -1160,7 +1161,8 @@ struct TrajectorySweep<'a> {
     physical: QuantumCircuit,
     /// Splice sites in compact physical coordinates, program order.
     sites: Vec<SpliceSite>,
-    model: NoiseModel,
+    /// Shared with the executor's model cache.
+    model: Arc<NoiseModel>,
     /// Kraus-operator plan compiled once per point, reused per shot.
     plan: TrajPlan,
     prefix_pos: usize,

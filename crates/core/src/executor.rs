@@ -25,6 +25,7 @@ use qufi_sim::{ProbDist, QuantumCircuit, Statevector};
 use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Active-qubit subsets seen by one executor — small (one per distinct
 /// transpiled footprint), so the restricted-model cache never needs to
@@ -147,11 +148,10 @@ impl NoisyExecutor {
         &self.transpiler
     }
 
-    pub(crate) fn model_for(&self, active: &[usize]) -> NoiseModel {
-        (*self.model_cache.get_or_build(&active.to_vec(), || {
+    pub(crate) fn model_for(&self, active: &[usize]) -> Arc<NoiseModel> {
+        self.model_cache.get_or_build(&active.to_vec(), || {
             self.calibration.restrict(active).noise_model()
-        }))
-        .clone()
+        })
     }
 }
 
@@ -331,11 +331,10 @@ impl TrajectoryExecutor {
         self.seed
     }
 
-    pub(crate) fn model_for(&self, active: &[usize]) -> NoiseModel {
-        (*self.model_cache.get_or_build(&active.to_vec(), || {
+    pub(crate) fn model_for(&self, active: &[usize]) -> Arc<NoiseModel> {
+        self.model_cache.get_or_build(&active.to_vec(), || {
             self.calibration.restrict(active).noise_model()
-        }))
-        .clone()
+        })
     }
 }
 

@@ -8,6 +8,8 @@
 //! * [`CMatrix`] — a small dense complex matrix used for gate unitaries,
 //!   Kraus operators and density matrices, with multiplication, adjoint,
 //!   Kronecker product and unitarity checks.
+//! * [`mat2`] — the single-qubit gate matrices as allocation-free
+//!   `[Complex; 4]` arrays; the 2×2 [`CMatrix`] constructors wrap them.
 //! * [`decompose`] — ZYZ (Euler-angle) decomposition of arbitrary 2×2
 //!   unitaries, used by the transpiler's basis-translation pass.
 //! * [`angles`] — the φ/θ grids of the QuFI fault model (15° steps) and
@@ -28,6 +30,7 @@
 pub mod angles;
 pub mod complex;
 pub mod decompose;
+pub mod mat2;
 pub mod matrix;
 
 pub use angles::{deg, AngleGrid, PiFraction};

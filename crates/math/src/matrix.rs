@@ -8,9 +8,9 @@
 //! and testing.
 
 use crate::complex::Complex;
+use crate::mat2::{self, Mat2};
 use core::fmt;
 use core::ops::{Index, IndexMut};
-use std::f64::consts::FRAC_1_SQRT_2;
 
 /// A dense, row-major complex matrix.
 ///
@@ -71,6 +71,11 @@ impl CMatrix {
     /// Builds a 2×2 matrix from row-major entries.
     pub fn from_2x2(a: Complex, b: Complex, c: Complex, d: Complex) -> Self {
         CMatrix::from_vec(2, 2, vec![a, b, c, d])
+    }
+
+    /// Builds a 2×2 matrix from a row-major [`Mat2`] array.
+    pub fn from_mat2(m: Mat2) -> Self {
+        CMatrix::from_vec(2, 2, m.to_vec())
     }
 
     /// Builds a matrix from row-major real entries.
@@ -306,23 +311,22 @@ impl CMatrix {
 
     /// Hadamard gate.
     pub fn hadamard() -> CMatrix {
-        let s = FRAC_1_SQRT_2;
-        CMatrix::from_real(2, 2, &[s, s, s, -s])
+        CMatrix::from_mat2(mat2::hadamard())
     }
 
     /// Pauli-X (bit-flip) gate.
     pub fn pauli_x() -> CMatrix {
-        CMatrix::from_real(2, 2, &[0.0, 1.0, 1.0, 0.0])
+        CMatrix::from_mat2(mat2::pauli_x())
     }
 
     /// Pauli-Y gate.
     pub fn pauli_y() -> CMatrix {
-        CMatrix::from_2x2(Complex::ZERO, -Complex::I, Complex::I, Complex::ZERO)
+        CMatrix::from_mat2(mat2::pauli_y())
     }
 
     /// Pauli-Z (phase-flip) gate.
     pub fn pauli_z() -> CMatrix {
-        CMatrix::from_real(2, 2, &[1.0, 0.0, 0.0, -1.0])
+        CMatrix::from_mat2(mat2::pauli_z())
     }
 
     /// The generic IBM `U(θ, φ, λ)` gate — Eq. (3) of the QuFI paper:
@@ -332,69 +336,41 @@ impl CMatrix {
     ///     [ e^{iφ} sin(θ/2)      e^{i(φ+λ)} cos(θ/2) ]
     /// ```
     pub fn u_gate(theta: f64, phi: f64, lambda: f64) -> CMatrix {
-        let (s, c) = ((theta / 2.0).sin(), (theta / 2.0).cos());
-        CMatrix::u_gate_from_trig(s, c, phi, lambda)
+        CMatrix::from_mat2(mat2::u_gate(theta, phi, lambda))
     }
 
     /// [`CMatrix::u_gate`] with `sin(θ/2)`/`cos(θ/2)` supplied by the
     /// caller. The batched grid-replay engine hoists the trig pair out of
-    /// runs of θ-identical grid cells; because `u_gate` delegates here, a
-    /// hoisted matrix is bit-identical to a freshly constructed one.
+    /// runs of θ-identical grid cells; because `u_gate` computes through
+    /// the same [`mat2::u_gate_from_trig`], a hoisted matrix is
+    /// bit-identical to a freshly constructed one.
     pub fn u_gate_from_trig(s: f64, c: f64, phi: f64, lambda: f64) -> CMatrix {
-        CMatrix::from_2x2(
-            Complex::real(c),
-            -Complex::cis(lambda) * s,
-            Complex::cis(phi) * s,
-            Complex::cis(phi + lambda) * c,
-        )
+        CMatrix::from_mat2(mat2::u_gate_from_trig(s, c, phi, lambda))
     }
 
     /// `RZ(λ) = diag(e^{-iλ/2}, e^{iλ/2})`.
     pub fn rz(lambda: f64) -> CMatrix {
-        CMatrix::from_2x2(
-            Complex::cis(-lambda / 2.0),
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::cis(lambda / 2.0),
-        )
+        CMatrix::from_mat2(mat2::rz(lambda))
     }
 
     /// `RY(θ)` rotation about the Y axis.
     pub fn ry(theta: f64) -> CMatrix {
-        let (s, c) = ((theta / 2.0).sin(), (theta / 2.0).cos());
-        CMatrix::from_real(2, 2, &[c, -s, s, c])
+        CMatrix::from_mat2(mat2::ry(theta))
     }
 
     /// `RX(θ)` rotation about the X axis.
     pub fn rx(theta: f64) -> CMatrix {
-        let (s, c) = ((theta / 2.0).sin(), (theta / 2.0).cos());
-        CMatrix::from_2x2(
-            Complex::real(c),
-            Complex::new(0.0, -s),
-            Complex::new(0.0, -s),
-            Complex::real(c),
-        )
+        CMatrix::from_mat2(mat2::rx(theta))
     }
 
     /// Square root of X (the IBM native `sx` gate).
     pub fn sx() -> CMatrix {
-        let half = 0.5;
-        CMatrix::from_2x2(
-            Complex::new(half, half),
-            Complex::new(half, -half),
-            Complex::new(half, -half),
-            Complex::new(half, half),
-        )
+        CMatrix::from_mat2(mat2::sx())
     }
 
     /// Phase gate `P(λ) = diag(1, e^{iλ})`.
     pub fn phase(lambda: f64) -> CMatrix {
-        CMatrix::from_2x2(
-            Complex::ONE,
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::cis(lambda),
-        )
+        CMatrix::from_mat2(mat2::phase(lambda))
     }
 
     /// CNOT with control on the *first* tensor factor.

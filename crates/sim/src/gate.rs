@@ -8,7 +8,7 @@
 //! circuits (CX for BV/DJ, controlled-phase and SWAP for QFT).
 
 use core::fmt;
-use qufi_math::CMatrix;
+use qufi_math::{mat2, CMatrix, Complex};
 use std::f64::consts::PI;
 
 /// A quantum gate. Parameterized variants carry their angles in radians.
@@ -112,25 +112,13 @@ impl Gate {
     ///
     /// For multi-qubit gates the first operand is the **most significant**
     /// bit of the matrix index (so [`CMatrix::cnot`] has its control on the
-    /// first operand).
+    /// first operand). Single-qubit matrices are built from
+    /// [`Gate::matrix_1q`], so the two agree bit for bit.
     pub fn matrix(&self) -> CMatrix {
+        if let Some(m) = self.matrix_1q() {
+            return CMatrix::from_mat2(m);
+        }
         match *self {
-            Gate::I => CMatrix::identity(2),
-            Gate::H => CMatrix::hadamard(),
-            Gate::X => CMatrix::pauli_x(),
-            Gate::Y => CMatrix::pauli_y(),
-            Gate::Z => CMatrix::pauli_z(),
-            Gate::S => CMatrix::phase(PI / 2.0),
-            Gate::Sdg => CMatrix::phase(-PI / 2.0),
-            Gate::T => CMatrix::phase(PI / 4.0),
-            Gate::Tdg => CMatrix::phase(-PI / 4.0),
-            Gate::Sx => CMatrix::sx(),
-            Gate::Sxdg => CMatrix::sx().adjoint(),
-            Gate::Rx(t) => CMatrix::rx(t),
-            Gate::Ry(t) => CMatrix::ry(t),
-            Gate::Rz(t) => CMatrix::rz(t),
-            Gate::P(l) => CMatrix::phase(l),
-            Gate::U(t, p, l) => CMatrix::u_gate(t, p, l),
             Gate::Cx => CMatrix::cnot(),
             Gate::Cz => CMatrix::cz(),
             Gate::Cp(l) => CMatrix::cphase(l),
@@ -138,13 +126,40 @@ impl Gate {
             Gate::Ccx => {
                 let mut m = CMatrix::identity(8);
                 // |110> <-> |111>
-                m[(6, 6)] = qufi_math::Complex::ZERO;
-                m[(7, 7)] = qufi_math::Complex::ZERO;
-                m[(6, 7)] = qufi_math::Complex::ONE;
-                m[(7, 6)] = qufi_math::Complex::ONE;
+                m[(6, 6)] = Complex::ZERO;
+                m[(7, 7)] = Complex::ZERO;
+                m[(6, 7)] = Complex::ONE;
+                m[(7, 6)] = Complex::ONE;
                 m
             }
+            _ => unreachable!("single-qubit gates are handled by matrix_1q"),
         }
+    }
+
+    /// The row-major 2×2 unitary of a single-qubit gate, without
+    /// allocating; `None` for multi-qubit gates. Built from the
+    /// [`qufi_math::mat2`] constructors that the matching [`CMatrix`]
+    /// constructors wrap.
+    pub fn matrix_1q(&self) -> Option<mat2::Mat2> {
+        Some(match *self {
+            Gate::I => mat2::IDENTITY,
+            Gate::H => mat2::hadamard(),
+            Gate::X => mat2::pauli_x(),
+            Gate::Y => mat2::pauli_y(),
+            Gate::Z => mat2::pauli_z(),
+            Gate::S => mat2::phase(PI / 2.0),
+            Gate::Sdg => mat2::phase(-PI / 2.0),
+            Gate::T => mat2::phase(PI / 4.0),
+            Gate::Tdg => mat2::phase(-PI / 4.0),
+            Gate::Sx => mat2::sx(),
+            Gate::Sxdg => mat2::adjoint(&mat2::sx()),
+            Gate::Rx(t) => mat2::rx(t),
+            Gate::Ry(t) => mat2::ry(t),
+            Gate::Rz(t) => mat2::rz(t),
+            Gate::P(l) => mat2::phase(l),
+            Gate::U(t, p, l) => mat2::u_gate(t, p, l),
+            Gate::Cx | Gate::Cz | Gate::Cp(_) | Gate::Swap | Gate::Ccx => return None,
+        })
     }
 
     /// The inverse gate, as a gate (not a matrix).
@@ -203,10 +218,19 @@ impl Gate {
 
     /// The gate's parameters, if any, in declaration order.
     pub fn params(&self) -> Vec<f64> {
+        let (params, len) = self.params_array();
+        params[..len].to_vec()
+    }
+
+    /// [`Gate::params`] without allocating: the parameters padded with
+    /// zeros to three slots, and how many of the slots are real.
+    pub fn params_array(&self) -> ([f64; 3], usize) {
         match *self {
-            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Cp(t) => vec![t],
-            Gate::U(t, p, l) => vec![t, p, l],
-            _ => vec![],
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::P(t) | Gate::Cp(t) => {
+                ([t, 0.0, 0.0], 1)
+            }
+            Gate::U(t, p, l) => ([t, p, l], 3),
+            _ => ([0.0; 3], 0),
         }
     }
 
@@ -277,6 +301,19 @@ mod tests {
             Gate::Ccx,
         ] {
             assert!(g.matrix().is_unitary(1e-12), "{g} not unitary");
+        }
+    }
+
+    #[test]
+    fn params_array_matches_params() {
+        for g in [
+            Gate::H,
+            Gate::Rz(-0.0),
+            Gate::Cp(0.4),
+            Gate::U(0.1, -0.2, 0.3),
+        ] {
+            let (params, len) = g.params_array();
+            assert_eq!(params[..len].to_vec(), g.params());
         }
     }
 
@@ -383,8 +420,8 @@ mod tests {
     fn ccx_flips_target_only_when_controls_set() {
         let m = Gate::Ccx.matrix();
         // |110> (controls q_a=1, q_b=1, target 0) -> |111>
-        assert!(m[(7, 6)].approx_eq(qufi_math::Complex::ONE, 1e-15));
+        assert!(m[(7, 6)].approx_eq(Complex::ONE, 1e-15));
         // |100> stays.
-        assert!(m[(4, 4)].approx_eq(qufi_math::Complex::ONE, 1e-15));
+        assert!(m[(4, 4)].approx_eq(Complex::ONE, 1e-15));
     }
 }

@@ -23,11 +23,17 @@
 //! same arithmetic in the same order (gather the group, accumulate each
 //! output row from zero in column order, scatter), so results are
 //! bit-identical regardless of which path dispatches — a property the
-//! campaign layer's byte-pinned golden exports rely on. These dense scalar
-//! kernels are also the reference the batched kernels below are tested
-//! against.
+//! campaign layer's byte-pinned golden exports rely on. The generic path
+//! skips exact-zero coefficients (a Toffoli has 8 of 64 nonzero, a 2-qubit
+//! depolarizing superoperator 28 of 256), which changes no bit by the
+//! argument below. These scalar kernels are also the reference the batched
+//! kernels below are tested against.
 //!
-//! # Step programs: fusion and zero-skipping without changing a bit
+//! # Zero-skipping and fusion without changing a bit
+//!
+//! The scalar generic kernel stores its matrix as per-row taps — its
+//! coefficients that are not exactly zero, in ascending column order — and
+//! accumulates each output over those taps only.
 //!
 //! The batched density replay runs each noisy gate step — the unitary's row
 //! pass, its conjugated column pass, then every channel superoperator — as
@@ -35,7 +41,8 @@
 //! `2^4`-amplitude group are fused into a single gather → ops → scatter
 //! pass, and each op keeps only its coefficients that are not exactly zero
 //! (a 2-qubit depolarizing superoperator has 28 of 256; CX is a
-//! permutation). Results stay bit-identical to the dense kernels because:
+//! permutation). Both results stay bit-identical to the dense kernels
+//! because:
 //!
 //! * Every output is accumulated from `+0.0` in ascending column order, and
 //!   a sum of the form `+0.0 + x₁ + … + xₖ` is never `−0.0` under
@@ -186,87 +193,97 @@ fn apply_2q(data: &mut [Complex], u: &[Complex], p_hi: usize, p_lo: usize, conju
     }
 }
 
-/// Generic `k ≤ 4` fallback (Toffoli, 2-qubit-channel superoperators).
+/// Generic fallback for 3 and 4 operands (Toffoli, 2-qubit-channel
+/// superoperators; 0 operands scale by a scalar). Each output accumulates
+/// only the matrix's nonzero coefficients, in ascending column order, from
+/// `+0.0` — bit-identical to multiplying every coefficient, see the module
+/// documentation.
 fn apply_generic(data: &mut [Complex], u: &[Complex], positions: &[usize], m: usize, conj: bool) {
-    let k = positions.len();
-
-    // Offsets (in flat-index units) contributed by each matrix bit.
-    // Matrix bit (k-1-j) <-> positions[j].
-    let mut bit_offsets = [0usize; MAX_KERNEL_QUBITS];
-    for (j, &q) in positions.iter().enumerate() {
-        bit_offsets[k - 1 - j] = 1usize << q;
+    // Monomorphized per operand count, so every group loop has a
+    // compile-time trip count. One and two operands never get here: they
+    // run through `apply_1q` and `apply_2q`.
+    match positions.len() {
+        0 => generic_k::<0, 1>(data, u, positions, m, conj),
+        3 => generic_k::<3, 8>(data, u, positions, m, conj),
+        4 => generic_k::<4, 16>(data, u, positions, m, conj),
+        k => unreachable!("{k} operands do not take the generic kernel"),
     }
+}
 
+/// [`apply_generic`] for `K` operands, `G = 2^K` amplitudes per group.
+fn generic_k<const K: usize, const G: usize>(
+    data: &mut [Complex],
+    u: &[Complex],
+    positions: &[usize],
+    m: usize,
+    conj: bool,
+) {
+    // The data offset of each matrix index: matrix bit (K-1-j) is flat
+    // bit positions[j].
+    let mut pos = [0usize; G];
+    for (mm, slot) in pos.iter_mut().enumerate() {
+        for (j, &q) in positions.iter().enumerate() {
+            if (mm >> (K - 1 - j)) & 1 == 1 {
+                *slot |= 1usize << q;
+            }
+        }
+    }
     // Sorted bit positions for enumerating the "rest" space.
-    let mut sorted = [0usize; MAX_KERNEL_QUBITS];
-    sorted[..k].copy_from_slice(positions);
-    sorted[..k].sort_unstable();
-
-    let group = 1usize << k;
-    let rest = 1usize << (m - k);
-
-    // Precompute the data offset of each matrix index (deposit of its bits).
-    let mut pos = [0usize; 1 << MAX_KERNEL_QUBITS];
-    for (mm, slot) in pos.iter_mut().enumerate().take(group) {
-        let mut off = 0usize;
-        for (b, &bo) in bit_offsets.iter().enumerate().take(k) {
-            if (mm >> b) & 1 == 1 {
-                off |= bo;
-            }
-        }
-        *slot = off;
-    }
-
-    // Transposed (and optionally conjugated) split-layout copy of the
-    // matrix: the column-outer accumulation below walks it contiguously as
-    // plain `f64` arrays the compiler can vectorize. Each output element
-    // still sums its columns in ascending order — the exact operation
-    // sequence (and bits) of a row-major accumulation over `Complex`
-    // values — but the `group` output chains are independent and pipeline
-    // instead of serializing on a single accumulator.
-    let mut ut_re = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    let mut ut_im = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
-    for row in 0..group {
-        for col in 0..group {
-            let x = u[row * group + col];
-            ut_re[col * group + row] = x.re;
-            ut_im[col * group + row] = if conj { -x.im } else { x.im };
+    let mut holes = [0usize; K];
+    holes.copy_from_slice(positions);
+    holes.sort_unstable();
+    // The taps: the nonzero coefficients (optionally conjugated) in
+    // row-major order, so each output row meets its taps in ascending
+    // column order.
+    let mut tap_row = [0u8; 1 << (2 * MAX_KERNEL_QUBITS)];
+    let mut tap_col = [0u8; 1 << (2 * MAX_KERNEL_QUBITS)];
+    let mut tap_re = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
+    let mut tap_im = [0.0f64; 1 << (2 * MAX_KERNEL_QUBITS)];
+    let mut taps = 0;
+    for (i, &x) in u.iter().enumerate() {
+        if x != Complex::ZERO {
+            tap_row[taps] = (i / G) as u8;
+            tap_col[taps] = (i % G) as u8;
+            tap_re[taps] = x.re;
+            tap_im[taps] = if conj { -x.im } else { x.im };
+            taps += 1;
         }
     }
+    let (rows, cols) = (&tap_row[..taps], &tap_col[..taps]);
+    let (res, ims) = (&tap_re[..taps], &tap_im[..taps]);
+    for_each_group::<K, G>(data, &pos, &holes, m, |gathered| {
+        let mut o_re = [0.0f64; G];
+        let mut o_im = [0.0f64; G];
+        for (((&r, &c), &ar), &ai) in rows.iter().zip(cols).zip(res).zip(ims) {
+            let (r, g) = (r as usize % G, gathered[c as usize % G]);
+            o_re[r] += ar * g.re - ai * g.im;
+            o_im[r] += ar * g.im + ai * g.re;
+        }
+        std::array::from_fn(|row| Complex::new(o_re[row], o_im[row]))
+    });
+}
 
-    let mut gathered = [Complex::ZERO; 1 << MAX_KERNEL_QUBITS];
-    let mut o_re = [0.0f64; 1 << MAX_KERNEL_QUBITS];
-    let mut o_im = [0.0f64; 1 << MAX_KERNEL_QUBITS];
-
-    for r in 0..rest {
-        // Deposit the rest-bits of `r` around the holes at `sorted`.
+/// Runs `transform` over every amplitude group of a `K`-operand pass:
+/// gathers the `G` amplitudes at offsets `pos` around each base index
+/// (zeros at the sorted `holes` bits), and scatters the outputs back.
+#[inline(always)]
+fn for_each_group<const K: usize, const G: usize>(
+    data: &mut [Complex],
+    pos: &[usize; G],
+    holes: &[usize; K],
+    m: usize,
+    mut transform: impl FnMut(&[Complex; G]) -> [Complex; G],
+) {
+    for r in 0..1usize << (m - K) {
+        // Deposit the rest-bits of `r` around the holes.
         let mut idx = r;
-        for &q in &sorted[..k] {
-            let low = idx & ((1 << q) - 1);
-            idx = ((idx >> q) << (q + 1)) | low;
+        for &q in holes {
+            idx = ((idx >> q) << (q + 1)) | (idx & ((1 << q) - 1));
         }
-        // Gather, transform, scatter.
-        for (mm, slot) in gathered.iter_mut().enumerate().take(group) {
-            *slot = data[idx | pos[mm]];
-        }
-        o_re[..group].fill(0.0);
-        o_im[..group].fill(0.0);
-        for (col, &gc) in gathered.iter().enumerate().take(group) {
-            let (cr, ci) = (gc.re, gc.im);
-            let ur = &ut_re[col * group..(col + 1) * group];
-            let ui = &ut_im[col * group..(col + 1) * group];
-            for (((or_, oi_), &ar), &ai) in o_re[..group]
-                .iter_mut()
-                .zip(o_im[..group].iter_mut())
-                .zip(ur)
-                .zip(ui)
-            {
-                *or_ += ar * cr - ai * ci;
-                *oi_ += ar * ci + ai * cr;
-            }
-        }
-        for row in 0..group {
-            data[idx | pos[row]] = Complex::new(o_re[row], o_im[row]);
+        let gathered: [Complex; G] = std::array::from_fn(|j| data[idx | pos[j]]);
+        let out = transform(&gathered);
+        for (&v, &p) in out.iter().zip(pos) {
+            data[idx | p] = v;
         }
     }
 }
@@ -948,8 +965,35 @@ mod tests {
         apply(&mut v, &u, &[0, 1, 2, 3, 4], 5, false);
     }
 
-    /// The specialized 1q/2q paths must be *bit-identical* to the generic
-    /// path on random data — the dispatch must never change results.
+    /// The plain dense loop every kernel path reproduces: gather each
+    /// group, accumulate each output row from zero over all columns in
+    /// ascending order, scatter.
+    fn dense_reference(data: &mut [Complex], u: &[Complex], positions: &[usize], conj: bool) {
+        let k = positions.len();
+        let g = 1usize << k;
+        let offset = |mm: usize| -> usize {
+            (0..k)
+                .filter(|&j| (mm >> (k - 1 - j)) & 1 == 1)
+                .map(|j| 1usize << positions[j])
+                .sum()
+        };
+        let mask: usize = (0..g).map(offset).fold(0, |a, b| a | b);
+        for base in (0..data.len()).filter(|&i| i & mask == 0) {
+            let gathered: Vec<Complex> = (0..g).map(|mm| data[base | offset(mm)]).collect();
+            for row in 0..g {
+                let mut acc = Complex::ZERO;
+                for (col, &x) in gathered.iter().enumerate() {
+                    let c = u[row * g + col];
+                    acc += if conj { c.conj() } else { c } * x;
+                }
+                data[base | offset(row)] = acc;
+            }
+        }
+    }
+
+    /// Every dispatch path — the specialized 1q/2q loops and the generic
+    /// zero-skipping kernel — must be *bit-identical* to the dense loop on
+    /// random data: the dispatch must never change results.
     #[test]
     fn specialized_paths_match_generic_bitwise() {
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -961,6 +1005,15 @@ mod tests {
         };
         let m = 5usize;
         let data: Vec<Complex> = (0..1 << m).map(|_| Complex::new(next(), next())).collect();
+        // A dense 4-operand matrix with a few exact zeros and one
+        // imaginary-only entry.
+        let dense4: Vec<Complex> = (0..256)
+            .map(|i| match i % 7 {
+                0 => Complex::ZERO,
+                3 => Complex::new(0.0, next()),
+                _ => Complex::new(next(), next()),
+            })
+            .collect();
         let cases: Vec<(CMatrix, Vec<usize>)> = vec![
             (CMatrix::hadamard(), vec![0]),
             (CMatrix::u_gate(0.7, 1.3, 0.2), vec![3]),
@@ -969,13 +1022,15 @@ mod tests {
             (CMatrix::cnot(), vec![4, 0]),
             (CMatrix::swap(), vec![2, 1]),
             (CMatrix::cphase(0.9), vec![0, 4]),
+            (crate::Gate::Ccx.matrix(), vec![4, 0, 2]),
+            (CMatrix::from_vec(16, 16, dense4), vec![1, 4, 0, 3]),
         ];
         for (u, positions) in cases {
             for conj in [false, true] {
                 let mut fast = data.clone();
                 apply_matrix_on_bits(&mut fast, u.as_slice(), &positions, m, conj);
                 let mut slow = data.clone();
-                apply_generic(&mut slow, u.as_slice(), &positions, m, conj);
+                dense_reference(&mut slow, u.as_slice(), &positions, conj);
                 for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                     assert!(
                         a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),

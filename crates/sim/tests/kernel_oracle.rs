@@ -12,7 +12,10 @@
 //! (which reroutes it through the wider specialized/generic kernel paths)
 //! must not change a single bit of the state. Fused, zero-skipping step
 //! programs (the batched density replay) must be **bitwise** equal to the
-//! dense scalar unitary + superoperator sequence they were compiled from.
+//! dense scalar unitary + superoperator sequence they were compiled from,
+//! and the zero-skipping scalar generic kernel (3- and 4-operand matrices)
+//! must be **bitwise** equal to the dense loop it replaced, kept here as a
+//! reference.
 
 use proptest::prelude::*;
 use qufi_math::{CMatrix, Complex};
@@ -425,5 +428,168 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The scalar generic kernel as it was before zero-skipping: over every
+/// `2^k`-amplitude group (first operand the most significant matrix bit),
+/// each output accumulates every coefficient × input in ascending column
+/// order from `+0.0`, conjugating coefficients when `conj`.
+fn dense_generic_reference(
+    data: &mut [Complex],
+    u: &CMatrix,
+    positions: &[usize],
+    m: usize,
+    conj: bool,
+) {
+    let k = positions.len();
+    let group = 1usize << k;
+    let offset = |mm: usize| -> usize {
+        (0..k)
+            .filter(|b| (mm >> b) & 1 == 1)
+            .map(|b| 1usize << positions[k - 1 - b])
+            .fold(0, |a, o| a | o)
+    };
+    let mask: usize = positions.iter().map(|&q| 1usize << q).sum();
+    for base in (0..1usize << m).filter(|i| i & mask == 0) {
+        let gathered: Vec<Complex> = (0..group).map(|c| data[base | offset(c)]).collect();
+        for row in 0..group {
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for (col, g) in gathered.iter().enumerate() {
+                let x = u[(row, col)];
+                let (ar, ai) = (x.re, if conj { -x.im } else { x.im });
+                re += ar * g.re - ai * g.im;
+                im += ar * g.im + ai * g.re;
+            }
+            data[base | offset(row)] = Complex::new(re, im);
+        }
+    }
+}
+
+/// What the nonzero entries of [`matrix_at_density`] look like.
+#[derive(Debug, Clone, Copy)]
+enum Entries {
+    /// Real-only, imaginary-only, nearly real or general.
+    Mixed,
+    /// All real with `±0.0` imaginary parts, like every channel
+    /// superoperator of the noise model.
+    Real,
+    /// All with tiny nonzero imaginary parts, whose `im` halves must
+    /// not be dropped.
+    NearlyReal,
+}
+
+/// A `dim × dim` matrix with about `pct`% of its entries nonzero; the
+/// others are `+0.0` or `-0.0` parts.
+fn matrix_at_density(
+    dim: usize,
+    pct: f64,
+    entries: Entries,
+    next: &mut impl FnMut() -> f64,
+) -> CMatrix {
+    let mut u = CMatrix::zeros(dim, dim);
+    for r in 0..dim {
+        for c in 0..dim {
+            let x = next();
+            let zero_im = if x < 0.2 { 0.0 } else { -0.0 };
+            u[(r, c)] = if (next() + 0.5) * 100.0 >= pct {
+                Complex::new(if x < 0.0 { -0.0 } else { 0.0 }, zero_im)
+            } else {
+                match entries {
+                    Entries::Real => Complex::new(next(), zero_im),
+                    Entries::NearlyReal => Complex::new(x, 1e-9 * (next() + 0.75)),
+                    Entries::Mixed => match ((next() + 0.5) * 4.0) as usize {
+                        0 => Complex::new(x, 0.0),
+                        1 => Complex::new(0.0, x),
+                        2 => Complex::new(x, 1e-9 * next()),
+                        _ => Complex::new(x, next()),
+                    },
+                }
+            };
+        }
+    }
+    u
+}
+
+/// Flat row-major copy of a density matrix.
+fn flat(rho: &DensityMatrix) -> Vec<Complex> {
+    (0..rho.dim())
+        .flat_map(|i| (0..rho.dim()).map(move |j| (i, j)))
+        .map(|(i, j)| rho.entry(i, j))
+        .collect()
+}
+
+fn assert_bitwise_flat(got: &[Complex], want: &[Complex], what: &str) {
+    for (i, (x, y)) in got.iter().zip(want).enumerate() {
+        assert!(
+            x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+            "{what}: entry {i}: {x:?} vs {y:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The zero-skipping generic kernel against the dense loop, bit for
+    /// bit, at every density from 0% to 100%, for k = 3 and k = 4 operand
+    /// bits: statevector gates (no conjugation) on states holding `±0.0`
+    /// amplitudes, density-matrix unitaries (row pass, then the
+    /// conjugated column pass) and 2-qubit channel superoperators on
+    /// density matrices built from such states.
+    #[test]
+    fn generic_kernel_matches_dense_loop_bitwise(
+        seed in 0u64..u64::MAX,
+        tenth in 0usize..=10,
+        entries in prop_oneof![
+            Just(Entries::Mixed),
+            Just(Entries::Real),
+            Just(Entries::NearlyReal),
+        ],
+    ) {
+        const SV: usize = 5;
+        const RHO: usize = 4;
+        let mut next = stream(seed);
+        let pct = 10.0 * tenth as f64;
+        let signed_zeros = |x: f64| match ((x + 0.5) * 4.0) as usize {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        };
+        let amps = |n: usize, next: &mut dyn FnMut() -> f64| -> Vec<Complex> {
+            (0..1 << n)
+                .map(|_| Complex::new(signed_zeros(next()), signed_zeros(next())))
+                .collect()
+        };
+        for k in [3usize, 4] {
+            let u = matrix_at_density(1 << k, pct, entries, &mut next);
+
+            let qs = distinct_qubits(k, SV, &mut next);
+            let mut sv = Statevector::from_amplitudes(amps(SV, &mut next));
+            let mut want = sv.amplitudes().to_vec();
+            sv.apply_matrix(&u, &qs);
+            dense_generic_reference(&mut want, &u, &qs, SV, false);
+            assert_bitwise_flat(sv.amplitudes(), &want, &format!("statevector k={k} {pct}%"));
+
+            let qs = distinct_qubits(k, RHO, &mut next);
+            let mut rho =
+                DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps(RHO, &mut next)));
+            let mut want = flat(&rho);
+            rho.apply_unitary(&u, &qs);
+            let rows: Vec<usize> = qs.iter().map(|q| RHO + q).collect();
+            dense_generic_reference(&mut want, &u, &rows, 2 * RHO, false);
+            dense_generic_reference(&mut want, &u, &qs, 2 * RHO, true);
+            assert_bitwise_flat(&flat(&rho), &want, &format!("density unitary k={k} {pct}%"));
+        }
+
+        let s = matrix_at_density(16, pct, entries, &mut next);
+        let qs = distinct_qubits(2, RHO, &mut next);
+        let mut rho =
+            DensityMatrix::from_statevector(&Statevector::from_amplitudes(amps(RHO, &mut next)));
+        let mut want = flat(&rho);
+        rho.apply_superoperator(&s, &qs);
+        let combined = [RHO + qs[0], RHO + qs[1], qs[0], qs[1]];
+        dense_generic_reference(&mut want, &s, &combined, 2 * RHO, false);
+        assert_bitwise_flat(&flat(&rho), &want, &format!("superoperator {pct}%"));
     }
 }

@@ -5,9 +5,33 @@
 //! merging (`RZ(a)·RZ(b) → RZ(a+b)`), and single-qubit-run fusion (multiply
 //! the run's matrices, drop it when the product is the identity, otherwise
 //! resynthesize a minimal sequence).
+//!
+//! # Compact ops
+//!
+//! Every pass runs on [`CompactOp`]s, a `Copy` form of [`Op`]: a gate with
+//! its (at most three) operands inline, a measurement, or a barrier stored
+//! as an index into a side table of the source circuit's barrier operand
+//! lists. [`optimize`] converts a circuit into this form once, runs the
+//! whole level's pipeline on plain `Vec<CompactOp>`s, and converts back
+//! once — no pass allocates per op or rebuilds a circuit. The result is
+//! exactly that of running each pass over [`QuantumCircuit`]s:
+//!
+//! * Passes keep barriers in order and never drop one, so two op lists
+//!   that compare equal position by position hold the same barrier at each
+//!   position, and comparing barrier indices equals comparing operand lists.
+//! * Cancellation only removes ops, so "removed something" is the same test
+//!   as "the circuit changed" for its fixpoint loop. The Level-3 round
+//!   compares op lists with the derived `PartialEq`, i.e. the exact `f64 ==`
+//!   semantics of comparing circuits.
+//! * Parameters are compared through [`Gate::params_array`] and run fusion
+//!   multiplies [`Gate::matrix_1q`] arrays with the loop of
+//!   [`CMatrix::matmul`] (i, k, j order, zero left factors skipped,
+//!   accumulated from zero), so every parameter and product is bit-identical
+//!   to the `Vec`/[`CMatrix`] arithmetic.
 
 use crate::basis::decompose_1q_matrix;
-use qufi_math::{decompose::normalize_angle, zyz_decompose, CMatrix};
+use qufi_math::mat2::{self, Mat2};
+use qufi_math::{decompose::normalize_angle, zyz_decompose, CMatrix, Complex};
 use qufi_sim::circuit::Op;
 use qufi_sim::{Gate, QuantumCircuit};
 
@@ -26,29 +50,25 @@ pub enum Level {
     Level3,
 }
 
+/// Pass-iteration cap of every fixpoint loop.
+const MAX_ROUNDS: usize = 10;
+
 /// Runs the optimization pipeline at the given level. `native` controls
 /// whether fused runs are resynthesized into `{rz, sx}` (true) or a single
 /// `U` gate (false).
 pub fn optimize(qc: &QuantumCircuit, level: Level, native: bool) -> QuantumCircuit {
-    match level {
-        Level::Level0 => qc.clone(),
-        Level::Level1 => {
-            let qc = run_to_fixpoint(qc, cancel_inverse_pairs, 10);
-            merge_rotations(&qc)
-        }
+    let c = Compact::new(qc);
+    let ops = match level {
+        Level::Level0 => return qc.clone(),
+        Level::Level1 => c.merge(&c.cancel_to_fixpoint(c.ops.clone())),
         Level::Level2 => {
-            let qc = run_to_fixpoint(qc, cancel_inverse_pairs, 10);
-            let qc = merge_rotations(&qc);
-            let qc = fuse_single_qubit_runs(&qc, native);
-            run_to_fixpoint(&qc, cancel_inverse_pairs, 10)
+            let ops = c.merge(&c.cancel_to_fixpoint(c.ops.clone()));
+            c.cancel_to_fixpoint(c.fuse(&ops, native))
         }
         Level::Level3 => {
-            let mut cur = qc.clone();
-            for _ in 0..10 {
-                let next = fuse_single_qubit_runs(
-                    &merge_rotations(&run_to_fixpoint(&cur, cancel_inverse_pairs, 10)),
-                    native,
-                );
+            let mut cur = c.ops.clone();
+            for _ in 0..MAX_ROUNDS {
+                let next = c.fuse(&c.merge(&c.cancel_to_fixpoint(cur.clone())), native);
                 if next == cur {
                     break;
                 }
@@ -56,158 +76,310 @@ pub fn optimize(qc: &QuantumCircuit, level: Level, native: bool) -> QuantumCircu
             }
             cur
         }
-    }
-}
-
-fn run_to_fixpoint(
-    qc: &QuantumCircuit,
-    pass: fn(&QuantumCircuit) -> QuantumCircuit,
-    max_iter: usize,
-) -> QuantumCircuit {
-    let mut cur = qc.clone();
-    for _ in 0..max_iter {
-        let next = pass(&cur);
-        if next == cur {
-            break;
-        }
-        cur = next;
-    }
-    cur
-}
-
-fn params_match(a: Gate, b: Gate) -> bool {
-    let (pa, pb) = (a.params(), b.params());
-    pa.len() == pb.len() && pa.iter().zip(&pb).all(|(x, y)| (x - y).abs() < 1e-12)
+    };
+    c.to_circuit(&ops)
 }
 
 /// Removes adjacent gate pairs `G · G⁻¹` acting on identical operand lists.
 pub fn cancel_inverse_pairs(qc: &QuantumCircuit) -> QuantumCircuit {
-    let mut out: Vec<Option<Op>> = Vec::with_capacity(qc.size());
-    // last[q] = index in `out` of the most recent op touching qubit q.
-    let mut last: Vec<Option<usize>> = vec![None; qc.num_qubits()];
-
-    for op in qc.instructions() {
-        match op {
-            Op::Gate { gate, qubits } => {
-                // Candidate for cancellation: all operands point at the same
-                // previous instruction, which is our inverse on the same
-                // operand list.
-                let candidate = qubits
-                    .iter()
-                    .map(|&q| last[q])
-                    .collect::<Option<Vec<usize>>>()
-                    .and_then(|idxs| {
-                        let first = idxs[0];
-                        idxs.iter().all(|&i| i == first).then_some(first)
-                    });
-                if let Some(j) = candidate {
-                    if let Some(Op::Gate {
-                        gate: prev,
-                        qubits: prev_qs,
-                    }) = &out[j]
-                    {
-                        let inv = gate.inverse();
-                        if prev_qs == qubits
-                            && std::mem::discriminant(prev) == std::mem::discriminant(&inv)
-                            && params_match(*prev, inv)
-                        {
-                            out[j] = None;
-                            for &q in qubits {
-                                last[q] = None;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                let idx = out.len();
-                out.push(Some(op.clone()));
-                for &q in qubits {
-                    last[q] = Some(idx);
-                }
-            }
-            Op::Barrier(qs) => {
-                let idx = out.len();
-                out.push(Some(op.clone()));
-                for &q in qs {
-                    last[q] = Some(idx);
-                }
-            }
-            Op::Measure { qubit, .. } => {
-                let idx = out.len();
-                out.push(Some(op.clone()));
-                last[*qubit] = Some(idx);
-            }
-        }
-    }
-    rebuild(qc, out.into_iter().flatten())
+    let c = Compact::new(qc);
+    c.to_circuit(&c.cancel(&c.ops).0)
 }
 
 /// Merges adjacent `rz`/`p` rotations on the same qubit and `cp` rotations on
 /// the same ordered pair; zero-angle results are dropped.
 pub fn merge_rotations(qc: &QuantumCircuit) -> QuantumCircuit {
-    let mut out: Vec<Option<Op>> = Vec::with_capacity(qc.size());
-    let mut last: Vec<Option<usize>> = vec![None; qc.num_qubits()];
+    let c = Compact::new(qc);
+    c.to_circuit(&c.merge(&c.ops))
+}
 
-    for op in qc.instructions() {
-        if let Op::Gate { gate, qubits } = op {
-            let mergeable = matches!(gate, Gate::Rz(_) | Gate::P(_) | Gate::Cp(_));
-            if mergeable {
-                let candidate = qubits
-                    .iter()
-                    .map(|&q| last[q])
-                    .collect::<Option<Vec<usize>>>()
-                    .and_then(|idxs| {
-                        let first = idxs[0];
-                        idxs.iter().all(|&i| i == first).then_some(first)
-                    });
-                if let Some(j) = candidate {
-                    if let Some(Op::Gate {
-                        gate: prev,
-                        qubits: prev_qs,
-                    }) = &out[j]
-                    {
-                        let merged = match (*prev, *gate) {
-                            (Gate::Rz(a), Gate::Rz(b)) if prev_qs == qubits => {
-                                Some(Gate::Rz(normalize_angle(a + b)))
-                            }
-                            (Gate::P(a), Gate::P(b)) if prev_qs == qubits => {
-                                Some(Gate::P(normalize_angle(a + b)))
-                            }
-                            (Gate::Cp(a), Gate::Cp(b)) if same_pair(prev_qs, qubits) => {
-                                Some(Gate::Cp(normalize_angle(a + b)))
-                            }
-                            _ => None,
-                        };
-                        if let Some(m) = merged {
-                            if m.params()[0].abs() < 1e-12 {
-                                out[j] = None;
-                                for &q in qubits {
-                                    last[q] = None;
-                                }
-                            } else {
-                                out[j] = Some(Op::Gate {
-                                    gate: m,
-                                    qubits: prev_qs.clone(),
-                                });
-                            }
-                            continue;
-                        }
-                    }
+/// Fuses maximal runs of single-qubit gates into a minimal resynthesis;
+/// identity runs vanish.
+pub fn fuse_single_qubit_runs(qc: &QuantumCircuit, native: bool) -> QuantumCircuit {
+    let c = Compact::new(qc);
+    c.to_circuit(&c.fuse(&c.ops, native))
+}
+
+/// A gate's operand list, inline. Unused slots hold zero, so the derived
+/// equality is operand-list equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Operands {
+    qubits: [usize; 3],
+    len: u8,
+}
+
+impl Operands {
+    fn new(qubits: &[usize]) -> Self {
+        let mut inline = [0usize; 3];
+        inline[..qubits.len()].copy_from_slice(qubits);
+        Operands {
+            qubits: inline,
+            len: qubits.len() as u8,
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        &self.qubits[..self.len as usize]
+    }
+}
+
+/// One instruction in the optimizer's copyable form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CompactOp {
+    Gate {
+        gate: Gate,
+        qubits: Operands,
+    },
+    /// Index into [`Compact::barriers`].
+    Barrier(usize),
+    Measure {
+        qubit: usize,
+        clbit: usize,
+    },
+}
+
+/// A circuit in compact form, and the passes over it: the source circuit's
+/// ops, plus the barrier side table, which borrows the source's operand
+/// lists.
+struct Compact<'a> {
+    source: &'a QuantumCircuit,
+    ops: Vec<CompactOp>,
+    barriers: Vec<&'a [usize]>,
+}
+
+impl<'a> Compact<'a> {
+    fn new(source: &'a QuantumCircuit) -> Self {
+        let mut barriers = Vec::new();
+        let ops = source
+            .instructions()
+            .map(|op| match op {
+                Op::Gate { gate, qubits } => CompactOp::Gate {
+                    gate: *gate,
+                    qubits: Operands::new(qubits),
+                },
+                Op::Barrier(qs) => {
+                    barriers.push(&qs[..]);
+                    CompactOp::Barrier(barriers.len() - 1)
+                }
+                Op::Measure { qubit, clbit } => CompactOp::Measure {
+                    qubit: *qubit,
+                    clbit: *clbit,
+                },
+            })
+            .collect();
+        Compact {
+            source,
+            ops,
+            barriers,
+        }
+    }
+
+    /// Rebuilds a circuit with the source's width, clbits and name.
+    fn to_circuit(&self, ops: &[CompactOp]) -> QuantumCircuit {
+        let src = self.source;
+        let mut out = QuantumCircuit::with_name(src.num_qubits(), src.num_clbits(), &src.name);
+        for op in ops {
+            match *op {
+                CompactOp::Gate { gate, qubits } => {
+                    out.append(gate, qubits.as_slice());
+                }
+                CompactOp::Barrier(i) => {
+                    out.barrier(self.barriers[i]);
+                }
+                CompactOp::Measure { qubit, clbit } => {
+                    out.measure(qubit, clbit);
                 }
             }
         }
-        let idx = out.len();
-        let touched: Vec<usize> = match op {
-            Op::Gate { qubits, .. } => qubits.clone(),
-            Op::Barrier(qs) => qs.clone(),
-            Op::Measure { qubit, .. } => vec![*qubit],
-        };
-        out.push(Some(op.clone()));
-        for q in touched {
-            last[q] = Some(idx);
+        out
+    }
+
+    /// The qubits an op occupies.
+    fn qubits_of<'s>(&'s self, op: &'s CompactOp) -> &'s [usize] {
+        match op {
+            CompactOp::Gate { qubits, .. } => qubits.as_slice(),
+            CompactOp::Barrier(i) => self.barriers[*i],
+            CompactOp::Measure { qubit, .. } => std::slice::from_ref(qubit),
         }
     }
-    rebuild(qc, out.into_iter().flatten())
+
+    /// Cancellation passes until one removes nothing (at most
+    /// [`MAX_ROUNDS`]).
+    fn cancel_to_fixpoint(&self, mut ops: Vec<CompactOp>) -> Vec<CompactOp> {
+        for _ in 0..MAX_ROUNDS {
+            let (next, removed) = self.cancel(&ops);
+            if !removed {
+                break;
+            }
+            ops = next;
+        }
+        ops
+    }
+
+    /// One inverse-pair cancellation pass; `true` when it removed a pair.
+    fn cancel(&self, ops: &[CompactOp]) -> (Vec<CompactOp>, bool) {
+        let mut out: Vec<Option<CompactOp>> = Vec::with_capacity(ops.len());
+        // last[q] = index in `out` of the most recent op touching qubit q.
+        let mut last: Vec<Option<usize>> = vec![None; self.source.num_qubits()];
+        let mut removed = false;
+        for op in ops {
+            if let CompactOp::Gate { gate, qubits } = *op {
+                // Candidate for cancellation: all operands point at the
+                // same previous instruction, which is our inverse on the
+                // same operand list.
+                if let Some((j, prev, prev_qs)) = previous_gate(&out, &last, qubits) {
+                    let inv = gate.inverse();
+                    if prev_qs == qubits
+                        && std::mem::discriminant(&prev) == std::mem::discriminant(&inv)
+                        && params_match(prev, inv)
+                    {
+                        out[j] = None;
+                        for &q in qubits.as_slice() {
+                            last[q] = None;
+                        }
+                        removed = true;
+                        continue;
+                    }
+                }
+            }
+            let idx = out.len();
+            out.push(Some(*op));
+            for &q in self.qubits_of(op) {
+                last[q] = Some(idx);
+            }
+        }
+        (out.into_iter().flatten().collect(), removed)
+    }
+
+    /// One rotation-merging pass.
+    fn merge(&self, ops: &[CompactOp]) -> Vec<CompactOp> {
+        let mut out: Vec<Option<CompactOp>> = Vec::with_capacity(ops.len());
+        let mut last: Vec<Option<usize>> = vec![None; self.source.num_qubits()];
+        for op in ops {
+            if let CompactOp::Gate { gate, qubits } = *op {
+                let merged = previous_gate(&out, &last, qubits).and_then(|(j, prev, prev_qs)| {
+                    merged_rotation(prev, prev_qs, gate, qubits).map(|m| (j, prev_qs, m))
+                });
+                if let Some((j, prev_qs, m)) = merged {
+                    if m.params_array().0[0].abs() < 1e-12 {
+                        out[j] = None;
+                        for &q in qubits.as_slice() {
+                            last[q] = None;
+                        }
+                    } else {
+                        out[j] = Some(CompactOp::Gate {
+                            gate: m,
+                            qubits: prev_qs,
+                        });
+                    }
+                    continue;
+                }
+            }
+            let idx = out.len();
+            out.push(Some(*op));
+            for &q in self.qubits_of(op) {
+                last[q] = Some(idx);
+            }
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    /// One single-qubit-run fusion pass.
+    fn fuse(&self, ops: &[CompactOp], native: bool) -> Vec<CompactOp> {
+        let mut out = Vec::with_capacity(ops.len());
+        let mut runs = vec![Run::EMPTY; self.source.num_qubits()];
+        let identity = CMatrix::identity(2);
+        let flush = |out: &mut Vec<CompactOp>, runs: &mut [Run], q: usize| {
+            let run = std::mem::replace(&mut runs[q], Run::EMPTY);
+            let gate_on_q = |gate| CompactOp::Gate {
+                gate,
+                qubits: Operands::new(&[q]),
+            };
+            match run.len {
+                0 => return,
+                // A lone identity multiplies out to the identity and
+                // vanishes below; any other lone gate is kept as is.
+                1 if !matches!(run.first, Gate::I) => {
+                    out.push(gate_on_q(run.first));
+                    return;
+                }
+                _ => {}
+            }
+            let m = CMatrix::from_vec(2, 2, run.product.to_vec());
+            if m.approx_eq_up_to_phase(&identity, 1e-10) {
+                return;
+            }
+            if native {
+                out.extend(decompose_1q_matrix(&m).into_iter().map(gate_on_q));
+            } else {
+                let a = zyz_decompose(&m);
+                out.push(gate_on_q(Gate::U(a.theta, a.phi, a.lambda)));
+            }
+        };
+        for op in ops {
+            match *op {
+                CompactOp::Gate { gate, qubits } if qubits.len == 1 => {
+                    runs[qubits.qubits[0]].push(gate);
+                    continue;
+                }
+                CompactOp::Gate { qubits, .. } => {
+                    for &q in qubits.as_slice() {
+                        flush(&mut out, &mut runs, q);
+                    }
+                }
+                CompactOp::Barrier(i) => {
+                    for &q in self.barriers[i] {
+                        flush(&mut out, &mut runs, q);
+                    }
+                }
+                CompactOp::Measure { qubit, .. } => flush(&mut out, &mut runs, qubit),
+            }
+            out.push(*op);
+        }
+        for q in 0..runs.len() {
+            flush(&mut out, &mut runs, q);
+        }
+        out
+    }
+}
+
+/// The gate every operand's `last` entry points at, when they all point
+/// at the same one: its index in `out`, the gate and its operands.
+fn previous_gate(
+    out: &[Option<CompactOp>],
+    last: &[Option<usize>],
+    qubits: Operands,
+) -> Option<(usize, Gate, Operands)> {
+    let qs = qubits.as_slice();
+    let j = last[qs[0]]?;
+    if !qs.iter().all(|&q| last[q] == Some(j)) {
+        return None;
+    }
+    match out[j] {
+        Some(CompactOp::Gate { gate, qubits }) => Some((j, gate, qubits)),
+        _ => None,
+    }
+}
+
+/// `prev` followed by `gate` as one rotation, when the two merge.
+fn merged_rotation(prev: Gate, prev_qs: Operands, gate: Gate, qubits: Operands) -> Option<Gate> {
+    match (prev, gate) {
+        (Gate::Rz(a), Gate::Rz(b)) if prev_qs == qubits => Some(Gate::Rz(normalize_angle(a + b))),
+        (Gate::P(a), Gate::P(b)) if prev_qs == qubits => Some(Gate::P(normalize_angle(a + b))),
+        (Gate::Cp(a), Gate::Cp(b)) if same_pair(prev_qs.as_slice(), qubits.as_slice()) => {
+            Some(Gate::Cp(normalize_angle(a + b)))
+        }
+        _ => None,
+    }
+}
+
+fn params_match(a: Gate, b: Gate) -> bool {
+    let ((pa, na), (pb, nb)) = (a.params_array(), b.params_array());
+    na == nb
+        && pa[..na]
+            .iter()
+            .zip(&pb[..nb])
+            .all(|(x, y)| (x - y).abs() < 1e-12)
 }
 
 /// `cp` is symmetric: control/target order does not matter.
@@ -215,79 +387,55 @@ fn same_pair(a: &[usize], b: &[usize]) -> bool {
     a.len() == 2 && b.len() == 2 && (a == b || (a[0] == b[1] && a[1] == b[0]))
 }
 
-/// Fuses maximal runs of single-qubit gates into a minimal resynthesis;
-/// identity runs vanish.
-pub fn fuse_single_qubit_runs(qc: &QuantumCircuit, native: bool) -> QuantumCircuit {
-    let mut out = QuantumCircuit::with_name(qc.num_qubits(), qc.num_clbits(), &qc.name);
-    let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); qc.num_qubits()];
-
-    let flush = |out: &mut QuantumCircuit, pending: &mut Vec<Vec<Gate>>, q: usize| {
-        let run = std::mem::take(&mut pending[q]);
-        if run.is_empty() {
-            return;
-        }
-        if run.len() == 1 && !matches!(run[0], Gate::I) {
-            out.append(run[0], &[q]);
-            return;
-        }
-        let mut m = CMatrix::identity(2);
-        for g in &run {
-            m = g.matrix().matmul(&m);
-        }
-        if m.approx_eq_up_to_phase(&CMatrix::identity(2), 1e-10) {
-            return;
-        }
-        if native {
-            for g in decompose_1q_matrix(&m) {
-                out.append(g, &[q]);
-            }
-        } else {
-            let a = zyz_decompose(&m);
-            out.u(a.theta, a.phi, a.lambda, q);
-        }
-    };
-
-    for op in qc.instructions() {
-        match op {
-            Op::Gate { gate, qubits } if qubits.len() == 1 => {
-                pending[qubits[0]].push(*gate);
-            }
-            Op::Gate { gate, qubits } => {
-                for &q in qubits {
-                    flush(&mut out, &mut pending, q);
-                }
-                out.append(*gate, qubits);
-            }
-            Op::Barrier(qs) => {
-                for &q in qs {
-                    flush(&mut out, &mut pending, q);
-                }
-                out.barrier(qs);
-            }
-            Op::Measure { qubit, clbit } => {
-                flush(&mut out, &mut pending, *qubit);
-                out.measure(*qubit, *clbit);
-            }
-        }
-    }
-    for q in 0..qc.num_qubits() {
-        flush(&mut out, &mut pending, q);
-    }
-    out
+/// A pending run of single-qubit gates on one qubit: its first gate and,
+/// from the second gate on, the running product `Gₖ·…·G₁·I` — exactly the
+/// product of the `CMatrix` fold `m = g.matrix().matmul(&m)` from the
+/// identity.
+#[derive(Clone, Copy)]
+struct Run {
+    len: usize,
+    first: Gate,
+    product: Mat2,
 }
 
-fn rebuild<I: IntoIterator<Item = Op>>(qc: &QuantumCircuit, ops: I) -> QuantumCircuit {
-    let mut out = QuantumCircuit::with_name(qc.num_qubits(), qc.num_clbits(), &qc.name);
-    for op in ops {
-        match op {
-            Op::Gate { gate, qubits } => {
-                out.append(gate, &qubits);
+impl Run {
+    const EMPTY: Run = Run {
+        len: 0,
+        first: Gate::I,
+        product: mat2::IDENTITY,
+    };
+
+    fn push(&mut self, gate: Gate) {
+        if self.len == 0 {
+            self.first = gate;
+        } else {
+            if self.len == 1 {
+                self.product = matmul_2x2(&matrix_of(self.first), &mat2::IDENTITY);
             }
-            Op::Barrier(qs) => {
-                out.barrier(&qs);
+            self.product = matmul_2x2(&matrix_of(gate), &self.product);
+        }
+        self.len += 1;
+    }
+}
+
+fn matrix_of(gate: Gate) -> Mat2 {
+    gate.matrix_1q()
+        .unwrap_or_else(|| panic!("{gate} on one operand"))
+}
+
+/// `a · b` for row-major 2×2 matrices, with exactly the loop of
+/// [`CMatrix::matmul`]: i, k, j order, zero left factors skipped, each
+/// output accumulated from zero.
+fn matmul_2x2(a: &Mat2, b: &Mat2) -> Mat2 {
+    let mut out = [Complex::ZERO; 4];
+    for i in 0..2 {
+        for k in 0..2 {
+            let x = a[i * 2 + k];
+            if x == Complex::ZERO {
+                continue;
             }
-            Op::Measure { qubit, clbit } => {
-                out.measure(qubit, clbit);
+            for j in 0..2 {
+                out[i * 2 + j] += x * b[k * 2 + j];
             }
         }
     }
@@ -303,6 +451,22 @@ mod tests {
         let pa = Statevector::from_circuit(a).unwrap().probabilities();
         let pb = Statevector::from_circuit(b).unwrap().probabilities();
         pa.tv_distance(&pb) < 1e-9
+    }
+
+    fn run_to_fixpoint(
+        qc: &QuantumCircuit,
+        pass: fn(&QuantumCircuit) -> QuantumCircuit,
+        max_iter: usize,
+    ) -> QuantumCircuit {
+        let mut cur = qc.clone();
+        for _ in 0..max_iter {
+            let next = pass(&cur);
+            if next == cur {
+                break;
+            }
+            cur = next;
+        }
+        cur
     }
 
     #[test]

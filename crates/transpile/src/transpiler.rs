@@ -14,6 +14,7 @@ use crate::routing::{route_with, RoutingStrategy};
 use crate::topology::CouplingMap;
 use qufi_sim::circuit::Op;
 use qufi_sim::QuantumCircuit;
+use std::sync::{Arc, OnceLock};
 
 /// Re-export of the optimization [`Level`] under the Qiskit-flavoured name.
 pub type OptimizationLevel = Level;
@@ -36,17 +37,24 @@ pub type OptimizationLevel = Level;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Transpiler {
-    coupling: CouplingMap,
+    /// Shared with every [`TranspileResult`] this transpiler returns.
+    coupling: Arc<CouplingMap>,
     level: OptimizationLevel,
     translate_basis: bool,
     routing: RoutingStrategy,
+    /// `Layout::dense(coupling, width)` by width, computed on first use:
+    /// it depends only on the device and the width.
+    dense_layouts: Vec<OnceLock<Layout>>,
 }
 
 impl Transpiler {
     /// Creates a transpiler for the given device at the given level.
     pub fn new(coupling: CouplingMap, level: OptimizationLevel) -> Self {
         Transpiler {
-            coupling,
+            dense_layouts: (0..=coupling.num_qubits())
+                .map(|_| OnceLock::new())
+                .collect(),
+            coupling: Arc::new(coupling),
             level,
             translate_basis: true,
             routing: RoutingStrategy::ShortestPath,
@@ -84,7 +92,9 @@ impl Transpiler {
             Level::Level0 | Level::Level1 => {
                 Layout::trivial(qc.num_qubits(), self.coupling.num_qubits())
             }
-            _ => Layout::dense(&self.coupling, qc.num_qubits()),
+            _ => self.dense_layouts[qc.num_qubits()]
+                .get_or_init(|| Layout::dense(&self.coupling, qc.num_qubits()))
+                .clone(),
         };
         let routed = route_with(&decomposed, &self.coupling, layout, self.routing)?;
         let translated = if self.translate_basis {
@@ -97,7 +107,7 @@ impl Transpiler {
             circuit: optimized,
             initial_layout: routed.initial_layout,
             final_layout: routed.final_layout,
-            coupling: self.coupling.clone(),
+            coupling: Arc::clone(&self.coupling),
             swaps_inserted: routed.swaps_inserted,
         })
     }
@@ -109,7 +119,7 @@ pub struct TranspileResult {
     circuit: QuantumCircuit,
     initial_layout: Layout,
     final_layout: Layout,
-    coupling: CouplingMap,
+    coupling: Arc<CouplingMap>,
     swaps_inserted: usize,
 }
 
@@ -292,6 +302,35 @@ mod tests {
             // The physical hosts really are adjacent.
             let cm = CouplingMap::ibm_h7();
             assert!(cm.are_coupled(result.physical_qubit(a), result.physical_qubit(b)));
+        }
+    }
+
+    /// The cached dense layout must give every later run — and every
+    /// width — what a fresh transpiler computes.
+    #[test]
+    fn cached_layouts_match_a_fresh_transpiler() {
+        let t = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3);
+        for width in [4, 2, 4, 3] {
+            let mut qc = QuantumCircuit::new(width, width);
+            qc.h(0);
+            for q in 1..width {
+                qc.cx(0, q);
+            }
+            qc.measure_all();
+            let cached = t.run(&qc).unwrap();
+            let fresh = Transpiler::new(CouplingMap::ibm_h7(), Level::Level3)
+                .run(&qc)
+                .unwrap();
+            assert_eq!(cached.circuit(), fresh.circuit());
+            assert_eq!(cached.initial_layout(), fresh.initial_layout());
+            assert_eq!(cached.final_layout(), fresh.final_layout());
+            assert_eq!(
+                cached.coupled_logical_pairs(),
+                fresh.coupled_logical_pairs()
+            );
+            for l in 0..width {
+                assert_eq!(cached.logical_neighbors(l), fresh.logical_neighbors(l));
+            }
         }
     }
 
