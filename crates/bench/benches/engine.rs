@@ -3,10 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qufi_algos::bernstein_vazirani;
-use qufi_core::campaign::{golden_outputs, run_point_sweep, run_point_sweep_naive};
+use qufi_core::campaign::{golden_outputs, run_point_sweep};
 use qufi_core::engine::SweepExecutor;
 use qufi_core::executor::{Executor, NoisyExecutor};
-use qufi_core::fault::{enumerate_injection_points, FaultGrid};
+use qufi_core::fault::{enumerate_injection_points, FaultGrid, FaultParams};
+use qufi_core::metrics::qvf_from_dist;
 use qufi_noise::{simulate, BackendCalibration, KrausChannel};
 use qufi_sim::{DensityMatrix, Gate, Statevector};
 use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
@@ -108,7 +109,9 @@ fn bench_pipeline(c: &mut Criterion) {
 
 /// Forked-state sweep engine vs the naive per-configuration oracle on the
 /// paper's bv-4/jakarta baseline — the BENCHMARKS.md before/after numbers.
-/// Per-iteration work is one injection point's full grid sweep.
+/// Per-iteration work is one injection point's full grid sweep; the naive
+/// case prepares the point, then rebuilds every cell through
+/// `replay_naive` and scores it.
 fn bench_sweep_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_engine");
     group.sample_size(10);
@@ -124,10 +127,19 @@ fn bench_sweep_engine(c: &mut Criterion) {
         ("paper312", FaultGrid::paper()),
     ] {
         group.bench_function(format!("forked_point_sweep_bv4_{label}"), |b| {
-            b.iter(|| run_point_sweep(&w.circuit, &golden, &ex, point, &grid).expect("sweep"))
+            b.iter(|| run_point_sweep(&w.circuit, &golden, &ex, point, &grid, 1).expect("sweep"))
         });
         group.bench_function(format!("naive_point_sweep_bv4_{label}"), |b| {
-            b.iter(|| run_point_sweep_naive(&w.circuit, &golden, &ex, point, &grid).expect("sweep"))
+            b.iter(|| {
+                let prepared = ex.prepare(&w.circuit, point).expect("prepare");
+                grid.iter()
+                    .map(|(theta, phi)| {
+                        let fault = FaultParams::shift(theta, phi);
+                        let dist = prepared.replay_naive(&[fault]).expect("naive replay");
+                        qvf_from_dist(&dist, &golden)
+                    })
+                    .collect::<Vec<f64>>()
+            })
         });
     }
     group.finish();
@@ -136,7 +148,8 @@ fn bench_sweep_engine(c: &mut Criterion) {
 /// Grid-parallel replay on one prepared point — the BENCHMARKS.md
 /// per-point numbers for the two-level thread model. Per iteration: all
 /// 312 paper configurations of one bv-4/jakarta injection point, replayed
-/// from the parked snapshot across 1/2/4 grid threads.
+/// cell by cell (`QUFI_BATCH_CELLS=1`) from the parked snapshot across
+/// 1/2/4 grid threads.
 fn bench_replay_grid(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_grid");
     group.sample_size(10);
@@ -146,18 +159,24 @@ fn bench_replay_grid(c: &mut Criterion) {
     let point = points[points.len() / 2];
     let prepared = ex.prepare(&w.circuit, point).expect("prepare");
     let grid = FaultGrid::paper();
+    std::env::set_var("QUFI_BATCH_CELLS", "1");
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("bv4_paper312_t{threads}"), |b| {
-            b.iter(|| prepared.replay_grid(&grid, threads).expect("grid replay"))
+            b.iter(|| {
+                prepared
+                    .replay_grid_batched(&grid, threads)
+                    .expect("grid replay")
+            })
         });
     }
+    std::env::remove_var("QUFI_BATCH_CELLS");
     group.finish();
 }
 
 /// Batched cell-major replay vs the scalar per-cell path on the same
 /// prepared bv-4/jakarta point — the BENCHMARKS.md "batched grid replay"
 /// numbers. The width is pinned via `QUFI_BATCH_CELLS` around each case;
-/// `scalar` is the retained per-cell path on the identical prepared
+/// `scalar` is width 1, the per-cell path on the identical prepared
 /// snapshot, so the ratio isolates batching itself. Exports from both
 /// paths are bit-identical; only the wall clock moves.
 fn bench_replay_grid_batched(c: &mut Criterion) {
@@ -172,12 +191,13 @@ fn bench_replay_grid_batched(c: &mut Criterion) {
         ("coarse", FaultGrid::coarse()),
         ("paper312", FaultGrid::paper()),
     ] {
-        group.bench_function(format!("bv4_{label}_scalar_t1"), |b| {
-            b.iter(|| prepared.replay_grid(&grid, 1).expect("grid replay"))
-        });
-        for width in [4usize, 8, 16] {
+        for width in [1usize, 4, 8, 16] {
             std::env::set_var("QUFI_BATCH_CELLS", width.to_string());
-            group.bench_function(format!("bv4_{label}_w{width}_t1"), |b| {
+            let case = match width {
+                1 => "scalar".to_string(),
+                w => format!("w{w}"),
+            };
+            group.bench_function(format!("bv4_{label}_{case}_t1"), |b| {
                 b.iter(|| prepared.replay_grid_batched(&grid, 1).expect("grid replay"))
             });
         }
@@ -189,8 +209,9 @@ fn bench_replay_grid_batched(c: &mut Criterion) {
 /// Telemetry overhead on the hot replay path (BENCHMARKS.md "phase
 /// attribution"). `disabled` is the default campaign configuration —
 /// every record call is one relaxed atomic load — and must match PR 5's
-/// recorded `replay_grid` numbers; `enabled` pays one `Instant::now()`
-/// pair per phase (never per cell) and should sit within noise of it.
+/// recorded cell-by-cell grid numbers (`QUFI_BATCH_CELLS=1`); `enabled`
+/// pays one `Instant::now()` pair per phase (never per cell) and should
+/// sit within noise of it.
 fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
@@ -201,17 +222,19 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let prepared = ex.prepare(&w.circuit, point).expect("prepare");
     let grid = FaultGrid::paper();
 
+    std::env::set_var("QUFI_BATCH_CELLS", "1");
     qufi_obs::disable();
     group.bench_function("replay_bv4_paper312_t1_disabled", |b| {
-        b.iter(|| prepared.replay_grid(&grid, 1).expect("grid replay"))
+        b.iter(|| prepared.replay_grid_batched(&grid, 1).expect("grid replay"))
     });
     qufi_obs::reset();
     qufi_obs::enable();
     group.bench_function("replay_bv4_paper312_t1_enabled", |b| {
-        b.iter(|| prepared.replay_grid(&grid, 1).expect("grid replay"))
+        b.iter(|| prepared.replay_grid_batched(&grid, 1).expect("grid replay"))
     });
     qufi_obs::disable();
     qufi_obs::reset();
+    std::env::remove_var("QUFI_BATCH_CELLS");
     group.finish();
 }
 

@@ -72,7 +72,6 @@ pub fn fig5_heatmaps(
                 grid: grid.clone(),
                 points: None,
                 threads: 0,
-                naive: false,
             };
             let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
                 .expect("campaign");
@@ -92,7 +91,6 @@ pub fn fig6_per_qubit(
         grid: grid.clone(),
         points: None,
         threads: 0,
-        naive: false,
     };
     let res =
         run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts).expect("campaign");
@@ -136,7 +134,6 @@ pub fn fig7_scaling(
                         grid: grid.clone(),
                         points: None,
                         threads: 0,
-                        naive: false,
                     };
                     let res = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &opts)
                         .expect("campaign");
@@ -179,7 +176,6 @@ pub fn fig8_double(grid: &FaultGrid, executor: &NoisyExecutor) -> Fig8Output {
         grid: grid.clone(),
         points: None,
         threads: 0,
-        naive: false,
     };
     let single = run_single_campaign(&w.circuit, &w.correct_outputs, executor, &single_opts)
         .expect("single campaign");
@@ -191,7 +187,6 @@ pub fn fig8_double(grid: &FaultGrid, executor: &NoisyExecutor) -> Fig8Output {
         points: None,
         pairs,
         threads: 0,
-        naive: false,
     };
     let double = run_double_campaign(&w.circuit, &w.correct_outputs, executor, &double_opts)
         .expect("double campaign");
@@ -272,7 +267,6 @@ pub fn fig11_hardware(seed: u64) -> Vec<Fig11Row> {
                     grid: grid.clone(),
                     points: None,
                     threads: 1,
-                    naive: false,
                 };
                 run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts)
                     .expect("campaign")

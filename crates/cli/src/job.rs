@@ -10,7 +10,7 @@
 
 use crate::error::CliError;
 use crate::manifest::{ExecutorKind, Manifest};
-use qufi_core::campaign::{golden_outputs, run_point_sweep_parallel};
+use qufi_core::campaign::{golden_outputs, run_point_sweep};
 use qufi_core::executor::{
     Executor, HardwareExecutor, IdealExecutor, NoisyExecutor, TrajectoryExecutor,
 };
@@ -196,7 +196,10 @@ impl JobRuntime {
         })
     }
 
-    /// Runs the full grid at one injection point — the scheduling unit.
+    /// Runs the full grid at one injection point — the scheduling unit —
+    /// fanned across `grid_threads` threads, the second level of the
+    /// scheduler's thread split. Records are bit-identical for every
+    /// `grid_threads` value (see [`run_point_sweep`]).
     ///
     /// # Errors
     ///
@@ -205,45 +208,27 @@ impl JobRuntime {
         &self,
         point: InjectionPoint,
         grid: &FaultGrid,
-    ) -> Result<Vec<InjectionRecord>, ExecError> {
-        self.run_point_split(point, grid, 1)
-    }
-
-    /// [`JobRuntime::run_point`] with the grid fanned across `grid_threads`
-    /// threads — the second level of the scheduler's thread split. Records
-    /// are bit-identical for every `grid_threads` value (see
-    /// [`qufi_core::engine::PreparedSweep::replay_grid`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution failure.
-    pub fn run_point_split(
-        &self,
-        point: InjectionPoint,
-        grid: &FaultGrid,
         grid_threads: usize,
     ) -> Result<Vec<InjectionRecord>, ExecError> {
         let (qc, golden) = (&self.circuit, &self.golden[..]);
         match &self.executor {
-            JobExecutor::Ideal(ex) => {
-                run_point_sweep_parallel(qc, golden, ex, point, grid, grid_threads)
-            }
+            JobExecutor::Ideal(ex) => run_point_sweep(qc, golden, ex, point, grid, grid_threads),
             JobExecutor::Noisy(ex) => {
-                run_point_sweep_parallel(qc, golden, ex.as_ref(), point, grid, grid_threads)
+                run_point_sweep(qc, golden, ex.as_ref(), point, grid, grid_threads)
             }
             JobExecutor::Hardware { .. } => {
                 let ex = self
                     .executor
                     .hardware_for_point(point.op_index, point.qubit)
                     .expect("hardware variant");
-                run_point_sweep_parallel(qc, golden, &ex, point, grid, grid_threads)
+                run_point_sweep(qc, golden, &ex, point, grid, grid_threads)
             }
             JobExecutor::Trajectory { .. } => {
                 let ex = self
                     .executor
                     .trajectory_for_point(point.op_index, point.qubit)
                     .expect("trajectory variant");
-                run_point_sweep_parallel(qc, golden, &ex, point, grid, grid_threads)
+                run_point_sweep(qc, golden, &ex, point, grid, grid_threads)
             }
         }
     }
@@ -400,13 +385,13 @@ mod tests {
         let p0 = rt.points[0];
         let p1 = rt.points[1];
         // Same point twice → identical records (order-independence).
-        let a = rt.run_point(p1, &grid).unwrap();
-        let _ = rt.run_point(p0, &grid).unwrap();
-        let b = rt.run_point(p1, &grid).unwrap();
+        let a = rt.run_point(p1, &grid, 1).unwrap();
+        let _ = rt.run_point(p0, &grid, 1).unwrap();
+        let b = rt.run_point(p1, &grid, 1).unwrap();
         assert_eq!(a, b);
         // A fresh runtime reproduces them too.
         let rt2 = JobRuntime::prepare(&m, &jobs[0]).unwrap();
-        assert_eq!(rt2.run_point(p1, &grid).unwrap(), a);
+        assert_eq!(rt2.run_point(p1, &grid, 1).unwrap(), a);
         assert_eq!(rt2.baseline_qvf, rt.baseline_qvf);
     }
 
@@ -423,13 +408,13 @@ mod tests {
         let p0 = rt.points[0];
         let p1 = rt.points[1];
         // Same point twice → identical records (order-independence).
-        let a = rt.run_point(p1, &grid).unwrap();
-        let _ = rt.run_point(p0, &grid).unwrap();
-        let b = rt.run_point(p1, &grid).unwrap();
+        let a = rt.run_point(p1, &grid, 1).unwrap();
+        let _ = rt.run_point(p0, &grid, 1).unwrap();
+        let b = rt.run_point(p1, &grid, 1).unwrap();
         assert_eq!(a, b);
         // A fresh runtime and a split grid reproduce them too.
         let rt2 = JobRuntime::prepare(&m, &jobs[0]).unwrap();
-        assert_eq!(rt2.run_point_split(p1, &grid, 2).unwrap(), a);
+        assert_eq!(rt2.run_point(p1, &grid, 2).unwrap(), a);
         assert_eq!(rt2.baseline_qvf, rt.baseline_qvf);
     }
 

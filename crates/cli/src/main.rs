@@ -76,9 +76,10 @@ OPTIONS:
     --quiet        Errors only on stderr
     --verbose      Progress on stderr even when it is not a terminal
     --no-metrics   Skip telemetry recording and its artifacts
-    --no-batch     Replay grid cells one at a time instead of in batched
-                   cell-major blocks (results are bit-identical either way;
-                   sets QUFI_BATCH_CELLS=1 for this process)
+    --no-batch     Replay grid cells one at a time (one-cell blocks of the
+                   same grid fan-out) instead of in batched cell-major
+                   blocks (results are bit-identical either way; sets
+                   QUFI_BATCH_CELLS=1 for this process)
     --trace        Also write a trace.jsonl span log (implies metrics)
     --top N        (stats only) Slowest points to show (default: 10)
     --dry-run      (run only) Print the resolved job × point × config task
@@ -226,7 +227,7 @@ fn parse_flags(args: Vec<String>) -> Result<CommonFlags, CliError> {
     // (a --trace next to it still wins, since a trace needs the recorder).
     flags.opts.metrics = !flags.no_metrics;
     // Batched grid replay is on by default; --no-batch pins the width to 1
-    // (the engine's scalar path). Exports are bit-identical either way —
+    // (cell-by-cell replay). Exports are bit-identical either way —
     // this is an escape hatch for debugging and A/B timing, not semantics.
     if flags.no_batch {
         std::env::set_var("QUFI_BATCH_CELLS", "1");

@@ -222,7 +222,7 @@ pub fn run_campaign(
             }
             let job = &jobs[job_idx];
             let _job_label = qufi_obs::job_scope(&job.meta.id);
-            let shard = job.runtime.run_point_split(point, &grid, grid_threads)?;
+            let shard = job.runtime.run_point(point, &grid, grid_threads)?;
             let rendered = RenderedShard::new(&shard);
             {
                 let _guard = job.append_lock.lock();

@@ -155,7 +155,6 @@ fn exported_records_match_direct_library_campaign() {
         ),
         points: None,
         threads: 2,
-        naive: false,
     };
     let direct = run_single_campaign(&w.circuit, &golden, &executor, &opts).unwrap();
 

@@ -2,9 +2,9 @@
 //! and `--threads 4` must produce byte-identical JSON/CSV exports.
 //!
 //! This is the end-to-end check of the whole determinism chain: grid cells
-//! are chunked deterministically (`PreparedSweep::replay_grid`), hardware
-//! sampling seeds derive from (seed, job, point, fault angles) rather than
-//! any shared stream, records sort into a canonical order, and artifacts
+//! are split into blocks deterministically
+//! (`PreparedSweep::replay_grid_batched`), hardware sampling seeds derive
+//! from (seed, job, point, fault angles) rather than any shared stream, records sort into a canonical order, and artifacts
 //! are generated from checkpoints — so neither the point-worker × grid
 //! split of the thread budget nor OS scheduling can leak into the output.
 

@@ -10,14 +10,17 @@
 //! Execution goes through the forked-state sweep engine
 //! ([`crate::engine`]): each point transpiles and evolves its circuit
 //! prefix **once**, then replays all grid configurations from a state
-//! snapshot. The pre-engine per-configuration pipeline survives behind
-//! [`CampaignOptions::naive`] as the oracle the differential test suite
-//! compares against.
+//! snapshot through one grid fan-out,
+//! [`PreparedSweep::replay_grid_batched`](crate::engine::PreparedSweep::replay_grid_batched).
+//! [`run_point_sweep`] is that per-point unit. The pre-engine
+//! per-configuration pipeline survives only as
+//! [`PreparedSweep::replay_naive`](crate::engine::PreparedSweep::replay_naive),
+//! the oracle the differential test suites compare against.
 
 use crate::engine::SweepExecutor;
 use crate::error::ExecError;
 use crate::executor::{Executor, IdealExecutor};
-use crate::fault::{enumerate_injection_points, FaultGrid, FaultParams, InjectionPoint};
+use crate::fault::{enumerate_injection_points, FaultGrid, InjectionPoint};
 use crate::metrics::{mean, qvf_from_dist, stddev, Severity};
 use parking_lot::Mutex;
 use qufi_sim::QuantumCircuit;
@@ -47,11 +50,6 @@ pub struct CampaignOptions {
     pub points: Option<Vec<InjectionPoint>>,
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Run every configuration through the naive per-configuration
-    /// pipeline (full rebuild + re-transpile + re-simulate) instead of the
-    /// forked-state fast path. Slow; kept as the test oracle — results are
-    /// bit-identical either way.
-    pub naive: bool,
 }
 
 impl Default for CampaignOptions {
@@ -60,7 +58,6 @@ impl Default for CampaignOptions {
             grid: FaultGrid::paper(),
             points: None,
             threads: 0,
-            naive: false,
         }
     }
 }
@@ -309,39 +306,20 @@ pub fn golden_outputs(qc: &QuantumCircuit) -> Result<Vec<usize>, ExecError> {
 }
 
 /// Executes one scheduling unit of a campaign: every (θ, φ) of `grid`
-/// injected at a single `point`, serially, in grid order, through the
-/// forked-state fast path — the point is prepared (transpile + prefix
-/// evolution) once and each configuration replays from the snapshot.
-/// Campaign drivers (the in-process thread pool here, the `qufi` CLI's
-/// checkpointed scheduler) fan these out and merge the records with
-/// [`CampaignResult::merge_records`].
+/// injected at a single `point`, in grid order, through the forked-state
+/// fast path — the point is prepared (transpile + prefix evolution) once
+/// and the grid replays from the snapshot across `grid_threads` threads
+/// ([`crate::engine::PreparedSweep::replay_grid_batched`]). Records are
+/// identical — bit-for-bit, including sampling scenarios — for every
+/// `grid_threads` value and every batch width, `QUFI_BATCH_CELLS=1` (the
+/// CLI's `--no-batch`) included. Campaign schedulers (the point pool
+/// here, the `qufi` CLI's checkpointed runner) fan these out and merge
+/// the records with [`CampaignResult::merge_records`].
 ///
 /// # Errors
 ///
-/// The first execution error aborts the sweep.
+/// Preparation failures.
 pub fn run_point_sweep<E: SweepExecutor + ?Sized>(
-    qc: &QuantumCircuit,
-    golden: &[usize],
-    executor: &E,
-    point: InjectionPoint,
-    grid: &FaultGrid,
-) -> Result<Vec<InjectionRecord>, ExecError> {
-    run_point_sweep_parallel(qc, golden, executor, point, grid, 1)
-}
-
-/// [`run_point_sweep`] with the grid fanned across `grid_threads` worker
-/// threads through the batched block engine
-/// ([`crate::engine::PreparedSweep::replay_grid_batched`]): the point is
-/// still prepared once; the 312 replays evolve in cell-major blocks (or
-/// fall back to per-cell replay where batching does not apply). Records
-/// are identical — bit-for-bit, including sampling scenarios — for every
-/// `grid_threads` value and every batch width, `QUFI_BATCH_CELLS=1`
-/// (the CLI's `--no-batch`) included.
-///
-/// # Errors
-///
-/// The first execution error aborts the sweep.
-pub fn run_point_sweep_parallel<E: SweepExecutor + ?Sized>(
     qc: &QuantumCircuit,
     golden: &[usize],
     executor: &E,
@@ -386,38 +364,6 @@ pub fn split_thread_budget(total: usize, points: usize) -> (usize, usize) {
     (workers, (total / workers).max(1))
 }
 
-/// The naive oracle variant of [`run_point_sweep`]: every configuration
-/// rebuilds, re-transpiles and re-simulates the whole faulty circuit.
-/// Bit-identical to the fast path (enforced by the differential suite)
-/// but pays the per-config transpile and prefix evolution the engine
-/// amortizes — ~2–3× slower on the paper's bv-4 baseline (BENCHMARKS.md).
-/// Use it only to cross-check the engine.
-///
-/// # Errors
-///
-/// The first execution error aborts the sweep.
-pub fn run_point_sweep_naive<E: SweepExecutor + ?Sized>(
-    qc: &QuantumCircuit,
-    golden: &[usize],
-    executor: &E,
-    point: InjectionPoint,
-    grid: &FaultGrid,
-) -> Result<Vec<InjectionRecord>, ExecError> {
-    let prepared = executor.prepare(qc, point)?;
-    let mut out = Vec::with_capacity(grid.len());
-    for (theta, phi) in grid.iter() {
-        let fault = FaultParams::shift(theta, phi);
-        let dist = prepared.replay_naive(&[fault])?;
-        out.push(InjectionRecord {
-            point,
-            theta,
-            phi,
-            qvf: qvf_from_dist(&dist, golden),
-        });
-    }
-    Ok(out)
-}
-
 /// Runs a single-fault campaign of `qc` on `executor`.
 ///
 /// Every injection builds the faulty circuit, executes it, and scores the
@@ -446,11 +392,14 @@ pub fn run_single_campaign<E: SweepExecutor>(
     let (workers, grid_threads) =
         split_thread_budget(resolve_threads(options.threads), points.len());
     let pooled = run_units(&points, workers, Vec::new, |records, &point| {
-        records.extend(if options.naive {
-            run_point_sweep_naive(qc, golden, executor, point, &options.grid)?
-        } else {
-            run_point_sweep_parallel(qc, golden, executor, point, &options.grid, grid_threads)?
-        });
+        records.extend(run_point_sweep(
+            qc,
+            golden,
+            executor,
+            point,
+            &options.grid,
+            grid_threads,
+        )?);
         Ok::<_, ExecError>(ControlFlow::Continue(()))
     })?;
     Ok(CampaignResult::from_parts(
@@ -562,7 +511,6 @@ mod tests {
             grid: FaultGrid::custom(vec![0.0], vec![0.0]),
             points: None,
             threads: 2,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -584,7 +532,6 @@ mod tests {
             grid: FaultGrid::custom(vec![PI], vec![0.0]),
             points: None,
             threads: 0,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -600,7 +547,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 3,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -636,10 +582,10 @@ mod tests {
             qubit: 0,
         };
         let grid = FaultGrid::coarse();
-        let serial = run_point_sweep(&w.circuit, &golden, &ex, point, &grid).unwrap();
+        let serial = run_point_sweep(&w.circuit, &golden, &ex, point, &grid, 1).unwrap();
         for threads in [2, 4] {
             let parallel =
-                run_point_sweep_parallel(&w.circuit, &golden, &ex, point, &grid, threads).unwrap();
+                run_point_sweep(&w.circuit, &golden, &ex, point, &grid, threads).unwrap();
             assert_eq!(serial, parallel, "{threads}-thread grid sweep diverged");
         }
     }
@@ -651,7 +597,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads,
-            naive: false,
         };
         let a =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &mk(1)).unwrap();
@@ -671,7 +616,6 @@ mod tests {
                 qubit: 0,
             }]),
             threads: 0,
-            naive: false,
         };
         let res = run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts).unwrap();
         // "A fault-free execution … its color is not solid green (QVF > 0)
@@ -694,7 +638,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 1,
-            naive: false,
         };
         let whole =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
@@ -715,6 +658,7 @@ mod tests {
                 &IdealExecutor,
                 p,
                 &opts.grid,
+                1,
             )
             .unwrap();
             rebuilt.merge_records(shard.clone());
@@ -793,7 +737,6 @@ mod tests {
             grid: FaultGrid::coarse(),
             points: None,
             threads: 0,
-            naive: false,
         };
         let res =
             run_single_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();

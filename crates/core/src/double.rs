@@ -47,10 +47,6 @@ pub struct DoubleOptions {
     pub pairs: Vec<(usize, usize)>,
     /// Worker threads (`0` = all cores).
     pub threads: usize,
-    /// Use the naive per-configuration oracle path instead of the
-    /// forked-state fast path (see
-    /// [`CampaignOptions::naive`](crate::campaign::CampaignOptions::naive)).
-    pub naive: bool,
 }
 
 impl DoubleOptions {
@@ -62,7 +58,6 @@ impl DoubleOptions {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         }
     }
 
@@ -73,7 +68,6 @@ impl DoubleOptions {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         }
     }
 }
@@ -190,11 +184,7 @@ pub fn run_double_campaign<E: SweepExecutor>(
                                 FaultParams::shift(theta0, phi0),
                                 FaultParams::shift(theta1, phi1),
                             ];
-                            let dist = if options.naive {
-                                prepared.replay_naive(&faults)?
-                            } else {
-                                prepared.replay_with(&faults, scratch)?
-                            };
+                            let dist = prepared.replay_with(&faults, scratch)?;
                             records.push(DoubleInjectionRecord {
                                 point,
                                 neighbor,
@@ -284,7 +274,6 @@ mod tests {
                 grid: grid.clone(),
                 points: Some(points.clone()),
                 threads: 0,
-                naive: false,
             },
         )
         .unwrap();
@@ -299,7 +288,6 @@ mod tests {
                 points: Some(points),
                 pairs,
                 threads: 0,
-                naive: false,
             },
         )
         .unwrap();
@@ -325,7 +313,6 @@ mod tests {
             points: Some(vec![point]),
             pairs: vec![(0, 1)],
             threads: 1,
-            naive: false,
         };
         let res = run_double_campaign(&w.circuit, &golden, &IdealExecutor, &opts).unwrap();
         let zero_second: Vec<_> = res
@@ -350,16 +337,21 @@ mod tests {
             run_double_campaign(&w.circuit, &w.correct_outputs, &IdealExecutor, &opts).unwrap();
         let max_t = *opts.grid.thetas.last().unwrap();
         let max_p = *opts.grid.phis.last().unwrap();
-        let slice = res.slice_first_fault(max_t, max_p);
+        // bv-1 has two qubits, both in the pair: one (point, neighbor)
+        // item per injection point.
+        let items = enumerate_injection_points(&w.circuit).len();
         // The (max, max) slice sweeps the full second-fault lattice.
-        assert_eq!(
-            slice.len() * res.records.len() / res.records.len(),
-            slice.len()
-        );
-        assert!(!slice.is_empty());
+        let slice = res.slice_first_fault(max_t, max_p);
+        assert_eq!(slice.len(), items * opts.grid.len());
         for r in &slice {
             assert_eq!(r.theta0, max_t);
             assert_eq!(r.phi0, max_p);
+        }
+        // The (0, 0) slice admits only the null second fault.
+        let origin = res.slice_first_fault(0.0, 0.0);
+        assert_eq!(origin.len(), items);
+        for r in &origin {
+            assert_eq!((r.theta1, r.phi1), (0.0, 0.0));
         }
     }
 

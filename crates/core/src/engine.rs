@@ -13,6 +13,11 @@
 //! 2. [`PreparedSweep::replay`] runs **once per configuration**: it forks
 //!    the parked state, applies the injector gate (which suffers gate noise
 //!    like any physical gate), finishes the suffix, and reads out.
+//! 3. [`PreparedSweep::replay_grid_batched`] is the one grid entry point:
+//!    one deterministic fan-out of θ-sorted cell blocks across threads.
+//!    Blocks wider than one cell evolve in lockstep through the batched
+//!    kernels; one-cell blocks (`QUFI_BATCH_CELLS=1`, one-cell grids,
+//!    trajectory) take step 2 per cell. Both give the same bits.
 //!
 //! A sweep has k splice sites, one injector each: k = 1 for a single
 //! fault, k = 2 for the multi-qubit strike of §III-C, whose second, weaker
@@ -45,12 +50,11 @@ use crate::fault::{
 use crate::mapping::{
     extract_splice_sites, mark_double_injection_site, mark_injection_site, SpliceSite,
 };
-use parking_lot::Mutex;
 use qufi_math::CMatrix;
 use qufi_noise::readout::apply_readout_errors;
 use qufi_noise::simulate::{NoisePlan, NoisyCursor};
 use qufi_noise::trajectory::{
-    finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor, SHOT_BLOCK,
+    finish_trajectory_dist, ShotAccumulator, TrajPlan, TrajWorkspace, TrajectoryCursor,
 };
 use qufi_noise::NoiseModel;
 use qufi_sim::{
@@ -147,7 +151,7 @@ impl ReplayScratch {
 /// Implementations are `Sync`: replays only *borrow* the parked snapshot
 /// (each one copies it into caller-owned [`ReplayScratch`] buffers), so any
 /// number of threads may replay concurrently against one prepared sweep —
-/// the foundation of [`PreparedSweep::replay_grid`].
+/// the foundation of [`PreparedSweep::replay_grid_batched`].
 pub trait PreparedSweep: Sync {
     /// Splice sites k: the length of every fault slice a replay takes.
     fn sites(&self) -> usize;
@@ -189,57 +193,41 @@ pub trait PreparedSweep: Sync {
     /// transpilation failures.
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError>;
 
-    /// Replays the entire `(θ, φ)` grid of single faults, chunked
-    /// deterministically across `threads` worker threads, returning one
-    /// distribution per cell **in grid order** ([`FaultGrid::iter`] order).
+    /// Replays the entire `(θ, φ)` grid of single faults across `threads`
+    /// worker threads, returning one distribution per cell **in grid
+    /// order** ([`FaultGrid::iter`] order). The grid entry point of every
+    /// executor.
     ///
-    /// Determinism contract: cells are assigned to workers by contiguous
-    /// index ranges fixed by `grid.len()` and `threads` alone, each worker
-    /// replays through its own [`ReplayScratch`], and every replay depends
-    /// only on `(self, fault)` — so the returned cells are bit-identical
-    /// for every thread count and scheduling order, including `threads =
-    /// 1`. Sampling scenarios keep this property because their seeds
-    /// derive from the fault angles, never from replay order.
+    /// Cells are stably sorted by θ and chunked into blocks of a fixed
+    /// width; workers take contiguous ranges of blocks. Blocks wider than
+    /// one cell evolve in lockstep through the cell-major kernels of
+    /// [`qufi_sim::batch`], so each suffix gate's index arithmetic is
+    /// computed once per block, and θ-identical cells share one
+    /// `sin/cos(θ/2)` evaluation of the injector. One-cell blocks replay
+    /// through [`PreparedSweep::replay_with`], one [`ReplayScratch`] per
+    /// worker.
+    ///
+    /// The width is read from `QUFI_BATCH_CELLS` per call (default 16,
+    /// clamped to `1..=`[`qufi_sim::MAX_BATCH_CELLS`]) and shrunk to the
+    /// grid size and an amplitude budget. Width 1 — the CLI's
+    /// `--no-batch` — one-cell grids, and scenarios without a batched path
+    /// (trajectory) replay cell by cell.
+    ///
+    /// Determinism contract: a batched cell goes through exactly the
+    /// scalar per-cell operation sequence, and every replay depends only
+    /// on `(self, fault)` — sampling scenarios seed from the fault angles,
+    /// never from replay order — so the returned cells are bit-identical
+    /// to [`PreparedSweep::replay`] for every width and thread count.
     ///
     /// # Errors
     ///
     /// [`ExecError::InvalidFault`] before any replay when the sweep has
-    /// k ≠ 1 sites, since a grid cell is one fault. Any replay failure
-    /// fails the whole grid (remaining workers cancel); the reported error
-    /// is from the lowest-indexed chunk that failed before cancellation
-    /// took effect.
-    fn replay_grid(&self, grid: &FaultGrid, threads: usize) -> Result<Vec<ProbDist>, ExecError> {
-        replay_grid_chunked(self, grid, threads)
-    }
-
-    /// Batched counterpart of [`PreparedSweep::replay_grid`]: evolves whole
-    /// blocks of grid cells in lockstep through the cell-major kernels of
-    /// [`qufi_sim::batch`], so each suffix gate's index arithmetic is
-    /// computed once per block and its inner loops run stride-1 across
-    /// cells. Cells are grouped by θ first, letting every θ-identical run
-    /// share one `sin/cos(θ/2)` evaluation of the injector.
-    ///
-    /// **Bit-identical** to [`PreparedSweep::replay_grid`] for every batch
-    /// width and thread count: a batched cell goes through exactly the
-    /// scalar per-cell operation sequence, and grouping only reorders which
-    /// cells evolve together — never the arithmetic inside one cell.
-    ///
-    /// The width is read from `QUFI_BATCH_CELLS` per call (default 16,
-    /// clamped to `1..=`[`qufi_sim::MAX_BATCH_CELLS`]). Width 1 — the CLI's
-    /// `--no-batch` — grids too small to batch, and scenarios without a
-    /// batched path (trajectory) all take the scalar per-cell fan-out
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PreparedSweep::replay_grid`].
+    /// k ≠ 1 sites, since a grid cell is one fault.
     fn replay_grid_batched(
         &self,
         grid: &FaultGrid,
         threads: usize,
-    ) -> Result<Vec<ProbDist>, ExecError> {
-        replay_grid_scalar_fallback(self, grid, threads)
-    }
+    ) -> Result<Vec<ProbDist>, ExecError>;
 
     /// Gates evolved once at preparation time (the shared prefix).
     fn prefix_gates(&self) -> usize;
@@ -263,103 +251,6 @@ fn check_faults(sites: usize, faults: &[FaultParams]) -> Result<(), ExecError> {
         .try_for_each(|pair| check_fault_order(pair[0], pair[1]))
 }
 
-/// Grid replays inject one fault per cell, so they need a single-site
-/// sweep.
-fn check_grid_sites(sites: usize) -> Result<(), ExecError> {
-    if sites == 1 {
-        Ok(())
-    } else {
-        Err(ExecError::InvalidFault(format!(
-            "a fault grid replays single faults, but this sweep has {sites} splice sites"
-        )))
-    }
-}
-
-/// The deterministic fan-out behind [`PreparedSweep::replay_grid`].
-fn replay_grid_chunked<S: PreparedSweep + ?Sized>(
-    sweep: &S,
-    grid: &FaultGrid,
-    threads: usize,
-) -> Result<Vec<ProbDist>, ExecError> {
-    check_grid_sites(sweep.sites())?;
-    let cells: Vec<FaultParams> = grid
-        .iter()
-        .map(|(theta, phi)| FaultParams::shift(theta, phi))
-        .collect();
-    if cells.is_empty() {
-        return Ok(Vec::new());
-    }
-    // One span per grid, one counter add per chunk: the per-cell loop
-    // below stays telemetry-free.
-    let _grid_span = qufi_obs::span("replay.grid_ns");
-    let workers = threads.max(1).min(cells.len());
-    if workers == 1 {
-        let mut scratch = ReplayScratch::new();
-        let dists: Result<Vec<ProbDist>, ExecError> = cells
-            .iter()
-            .map(|fault| sweep.replay_with(std::slice::from_ref(fault), &mut scratch))
-            .collect();
-        if dists.is_ok() {
-            qufi_obs::add("replay.cells", cells.len() as u64);
-        }
-        return dists;
-    }
-    // Contiguous chunks of fixed size: the (cell → worker) assignment is a
-    // pure function of (grid.len(), threads), never of scheduling.
-    let chunk = cells.len().div_ceil(workers);
-    let mut out: Vec<Option<ProbDist>> = vec![None; cells.len()];
-    let first_error: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for (chunk_idx, (slots, faults)) in
-            out.chunks_mut(chunk).zip(cells.chunks(chunk)).enumerate()
-        {
-            let first_error = &first_error;
-            let failed = &failed;
-            scope.spawn(move || {
-                let mut scratch = ReplayScratch::new();
-                let mut completed: u64 = 0;
-                for (slot, fault) in slots.iter_mut().zip(faults) {
-                    // A failure anywhere aborts the whole grid; stop
-                    // burning replays whose results would be discarded.
-                    if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                        break;
-                    }
-                    match sweep.replay_with(std::slice::from_ref(fault), &mut scratch) {
-                        Ok(dist) => {
-                            *slot = Some(dist);
-                            completed += 1;
-                        }
-                        Err(e) => {
-                            failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                            let mut guard = first_error.lock();
-                            // Keep the error of the lowest-indexed chunk
-                            // among those observed before cancellation.
-                            if guard.as_ref().is_none_or(|(i, _)| chunk_idx < *i) {
-                                *guard = Some((chunk_idx, e));
-                            }
-                            break;
-                        }
-                    }
-                }
-                qufi_obs::add("replay.cells", completed);
-                // Merge before the closure returns: the scope's exit
-                // synchronizes with closure completion, not with TLS
-                // destructors, so relying on the sink's at-exit Drop
-                // would race the caller's snapshot.
-                qufi_obs::flush();
-            });
-        }
-    });
-    if let Some((_, e)) = first_error.into_inner() {
-        return Err(e);
-    }
-    Ok(out
-        .into_iter()
-        .map(|slot| slot.expect("every cell was replayed"))
-        .collect())
-}
-
 /// Default number of grid cells evolved per batched block. 16 keeps the
 /// single-operand kernels (the bulk of a transpiled suffix) on their widest,
 /// fastest monomorphization; the 2q/generic kernels tile the cell axis
@@ -371,38 +262,18 @@ const DEFAULT_BATCH_CELLS: usize = 16;
 /// for wide registers instead of ballooning memory.
 const MAX_BATCH_AMPS: usize = 1 << 22;
 
-/// Batch width for [`PreparedSweep::replay_grid_batched`], read per call
-/// so the CLI and tests can vary it (`QUFI_BATCH_CELLS`, clamped to
-/// `1..=`[`qufi_sim::MAX_BATCH_CELLS`]). Width 1 disables batching.
-fn batch_width() -> usize {
+/// Block width for a grid of `grid_len` cells over states of `flat_len`
+/// amplitudes: `QUFI_BATCH_CELLS` (clamped to
+/// `1..=`[`qufi_sim::MAX_BATCH_CELLS`]), shrunk to the grid size and the
+/// amplitude budget. At most 1 means cell-by-cell replay.
+fn batch_width(flat_len: usize, grid_len: usize) -> usize {
     std::env::var("QUFI_BATCH_CELLS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .map(|w| w.clamp(1, qufi_sim::MAX_BATCH_CELLS))
         .unwrap_or(DEFAULT_BATCH_CELLS)
-}
-
-/// The effective width for a grid over states of `flat_len` amplitudes:
-/// the configured width, shrunk to the grid size and the amplitude
-/// budget. `None` means batching is off or pointless (width ≤ 1) — take
-/// the scalar path.
-fn effective_batch_width(flat_len: usize, grid_len: usize) -> Option<usize> {
-    let w = batch_width()
         .min(grid_len)
-        .min(MAX_BATCH_AMPS / flat_len.max(1));
-    (w > 1).then_some(w)
-}
-
-/// The scalar fallback behind [`PreparedSweep::replay_grid_batched`]:
-/// counts the cells that bypassed batching, then runs the per-cell path.
-fn replay_grid_scalar_fallback<S: PreparedSweep + ?Sized>(
-    sweep: &S,
-    grid: &FaultGrid,
-    threads: usize,
-) -> Result<Vec<ProbDist>, ExecError> {
-    check_grid_sites(sweep.sites())?;
-    qufi_obs::add("replay.batch.scalar_fallback", grid.len() as u64);
-    sweep.replay_grid(grid, threads)
+        .min(MAX_BATCH_AMPS / flat_len.max(1))
 }
 
 /// One injector matrix per cell of a θ-sorted block, hoisting the
@@ -427,68 +298,70 @@ fn injector_matrices(faults: &[FaultParams]) -> Vec<CMatrix> {
     mats
 }
 
-/// The deterministic fan-out behind the batched grid replays: cells are
-/// stably sorted by θ bit pattern (θ-identical cells share one trig
-/// evaluation and blocks stay maximally uniform), chunked into
-/// `width`-sized blocks — the ragged tail simply forms a narrower block —
-/// and blocks are handed to workers in contiguous ranges. Results scatter
-/// back to **grid order** by original cell index; the sort is invisible in
-/// the output because every replay depends only on `(self, fault)`.
+/// The deterministic fan-out behind [`PreparedSweep::replay_grid_batched`]:
+/// cells are stably sorted by θ bit pattern, chunked into `width`-sized
+/// blocks — the ragged tail simply forms a narrower block — and blocks
+/// are handed to workers in contiguous ranges, a pure function of
+/// `(grid.len(), width, threads)`. Each worker owns one [`ReplayScratch`].
+/// Results scatter back to **grid order** by original cell index; the
+/// sort is invisible in the output because every replay depends only on
+/// `(self, fault)`.
 ///
-/// Block replays are infallible (the fallible work — transpilation,
-/// planning, prefix evolution — happened at prepare time), so unlike
-/// [`replay_grid_chunked`] there is no cancellation protocol.
-fn replay_grid_batched_blocks<F>(
+/// Block replays are infallible: the fallible work — transpilation,
+/// planning, prefix evolution — happened at prepare time, and the fault
+/// slices are single faults of a checked single-site sweep.
+fn replay_blocks<F>(
     grid: &FaultGrid,
     threads: usize,
     width: usize,
     replay_block: F,
 ) -> Vec<ProbDist>
 where
-    F: Fn(&[FaultParams]) -> Vec<ProbDist> + Sync,
+    F: Fn(&[FaultParams], &mut ReplayScratch) -> Vec<ProbDist> + Sync,
 {
     let mut sorted: Vec<(usize, FaultParams)> = grid
         .iter()
         .map(|(theta, phi)| FaultParams::shift(theta, phi))
         .enumerate()
         .collect();
+    if sorted.is_empty() {
+        return Vec::new();
+    }
     sorted.sort_by_key(|(_, f)| f.theta.to_bits());
+    // One span per grid, a few counter adds per grid: the per-cell loop
+    // stays telemetry-free.
     let _grid_span = qufi_obs::span("replay.grid_ns");
-    let theta_groups = 1 + sorted
-        .windows(2)
-        .filter(|w| w[0].1.theta.to_bits() != w[1].1.theta.to_bits())
-        .count();
     let block_count = sorted.len().div_ceil(width);
     let run_blocks = |blocks: std::ops::Range<usize>| -> Vec<(usize, ProbDist)> {
         let mut results = Vec::with_capacity(blocks.len() * width);
         let mut faults = Vec::with_capacity(width);
+        let mut scratch = ReplayScratch::new();
         for b in blocks {
             let cells = &sorted[b * width..((b + 1) * width).min(sorted.len())];
             faults.clear();
             faults.extend(cells.iter().map(|&(_, f)| f));
-            let dists = replay_block(&faults);
+            let dists = replay_block(&faults, &mut scratch);
             debug_assert_eq!(dists.len(), cells.len());
             results.extend(cells.iter().map(|&(i, _)| i).zip(dists));
         }
         results
     };
     let workers = threads.max(1).min(block_count);
-    let mut out: Vec<Option<ProbDist>> = vec![None; sorted.len()];
-    if workers == 1 {
-        for (i, dist) in run_blocks(0..block_count) {
-            out[i] = Some(dist);
-        }
+    let per_worker = block_count.div_ceil(workers);
+    let parts = if workers == 1 {
+        vec![run_blocks(0..block_count)]
     } else {
-        // Contiguous block ranges: the (block → worker) assignment is a
-        // pure function of (grid.len(), width, threads), never scheduling.
-        let per_worker = block_count.div_ceil(workers);
-        let parts = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let run_blocks = &run_blocks;
                     scope.spawn(move || {
                         let part =
                             run_blocks(w * per_worker..((w + 1) * per_worker).min(block_count));
+                        // Merge before the closure returns: the scope's
+                        // exit synchronizes with closure completion, not
+                        // with TLS destructors, so relying on the sink's
+                        // at-exit Drop would race the caller's snapshot.
                         qufi_obs::flush();
                         part
                     })
@@ -496,19 +369,24 @@ where
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("batched replay worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for part in parts {
-            for (i, dist) in part {
-                out[i] = Some(dist);
-            }
-        }
+                .map(|h| h.join().expect("grid replay worker panicked"))
+                .collect()
+        })
+    };
+    let mut out: Vec<Option<ProbDist>> = vec![None; sorted.len()];
+    for (i, dist) in parts.into_iter().flatten() {
+        out[i] = Some(dist);
     }
     qufi_obs::add("replay.cells", sorted.len() as u64);
-    qufi_obs::add("replay.batch.cells", sorted.len() as u64);
-    qufi_obs::add("replay.batch.blocks", block_count as u64);
-    qufi_obs::add("replay.batch.theta_groups", theta_groups as u64);
+    if width > 1 {
+        let theta_groups = 1 + sorted
+            .windows(2)
+            .filter(|w| w[0].1.theta.to_bits() != w[1].1.theta.to_bits())
+            .count();
+        qufi_obs::add("replay.batch.cells", sorted.len() as u64);
+        qufi_obs::add("replay.batch.blocks", block_count as u64);
+        qufi_obs::add("replay.batch.theta_groups", theta_groups as u64);
+    }
     out.into_iter()
         .map(|slot| slot.expect("every cell was replayed"))
         .collect()
@@ -572,20 +450,28 @@ impl<S: SiteSweep> PreparedSweep for Checked<S> {
         grid: &FaultGrid,
         threads: usize,
     ) -> Result<Vec<ProbDist>, ExecError> {
-        // A block splices one injector per cell right at the parked prefix.
         let sites = self.0.sites();
-        let batchable = sites.len() == 1 && sites[0].index == self.0.parked().1;
-        match self
+        if sites.len() != 1 {
+            return Err(ExecError::InvalidFault(format!(
+                "a fault grid replays single faults, but this sweep has {} splice sites",
+                sites.len()
+            )));
+        }
+        // A block splices one injector per cell right at the parked prefix.
+        let width = self
             .0
             .batch_len()
-            .filter(|_| batchable)
-            .and_then(|flat_len| effective_batch_width(flat_len, grid.len()))
-        {
-            Some(width) => Ok(replay_grid_batched_blocks(grid, threads, width, |faults| {
+            .filter(|_| sites[0].index == self.0.parked().1)
+            .map_or(1, |flat_len| batch_width(flat_len, grid.len()));
+        if width > 1 {
+            return Ok(replay_blocks(grid, threads, width, |faults, _| {
                 self.0.replay_block(faults)
-            })),
-            None => replay_grid_scalar_fallback(self, grid, threads),
+            }));
         }
+        qufi_obs::add("replay.batch.scalar_fallback", grid.len() as u64);
+        Ok(replay_blocks(grid, threads, 1, |fault, scratch| {
+            vec![self.0.replay(fault, scratch)]
+        }))
     }
 
     fn prefix_gates(&self) -> usize {
@@ -1174,17 +1060,6 @@ struct TrajectorySweep<'a> {
     shots: u64,
 }
 
-/// Worker count for the optional shot-level parallel split, read per call
-/// so tests can vary it; shots are handed out in whole accumulator blocks
-/// to keep the fold bit-identical to serial.
-fn shot_workers() -> usize {
-    std::env::var("QUFI_TRAJ_SHOT_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
 fn bank_byte_limit() -> u64 {
     std::env::var("QUFI_TRAJ_BANK_BYTES")
         .ok()
@@ -1287,16 +1162,17 @@ impl<'a> TrajectorySweep<'a> {
         }
     }
 
-    /// Runs shots `[start, end)` of one cell into `acc`.
-    fn run_shot_range(
+    /// All shots of one cell — prefix from the bank, suffix under the
+    /// cell's seed stream — averaged, confused, and marginalized.
+    fn run_shots(
         &self,
         faults: &[FaultParams],
-        shots: std::ops::Range<u64>,
-        acc: &mut ShotAccumulator,
         sv_buf: &mut Option<Statevector>,
         ws: &mut TrajWorkspace,
-    ) {
-        for shot in shots {
+    ) -> ProbDist {
+        let n = self.physical.num_qubits();
+        let mut acc = ShotAccumulator::new(n, self.shots);
+        for shot in 0..self.shots {
             let state = match sv_buf.take() {
                 Some(s) => s,
                 None => self.zero.clone(),
@@ -1318,6 +1194,7 @@ impl<'a> TrajectorySweep<'a> {
             acc.add_shot(shot, cursor.state());
             *sv_buf = Some(cursor.into_state());
         }
+        finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
     }
 }
 
@@ -1330,81 +1207,30 @@ impl SiteSweep for TrajectorySweep<'_> {
         (&self.physical, self.prefix_pos)
     }
 
-    /// All shots of one cell — prefix from the bank, suffix under the
-    /// cell's seed stream — averaged, confused, and marginalized.
-    /// `QUFI_TRAJ_SHOT_THREADS > 1` splits the shots across scoped threads
-    /// in whole accumulator blocks; the absorb-in-worker-order merge keeps
-    /// the result bit-identical to the serial fold.
+    /// [`TrajectorySweep::run_shots`] through the scratch statevector and
+    /// workspace; the workspace's branch tallies go to the recorder once
+    /// per cell.
     fn replay(&self, faults: &[FaultParams], scratch: &mut ReplayScratch) -> ProbDist {
         qufi_obs::add("traj.shots", self.shots);
-        let n = self.physical.num_qubits();
-        let mut acc = ShotAccumulator::new(n, self.shots);
-        let blocks = self.shots.div_ceil(SHOT_BLOCK);
-        let workers = (shot_workers() as u64).min(blocks).max(1);
-        if workers == 1 {
-            self.run_shot_range(
-                faults,
-                0..self.shots,
-                &mut acc,
-                &mut scratch.traj_sv,
-                &mut scratch.traj_ws,
-            );
-            // The workspace outlives the cell; its branch tallies go to
-            // the recorder once per cell (split workers' temporaries
-            // flush when dropped).
-            scratch.traj_ws.flush_counts();
-        } else {
-            let per_worker_blocks = blocks.div_ceil(workers);
-            // Rounding blocks up may leave trailing workers with nothing to
-            // do (4 blocks over 3 workers → 2 + 2 + 0); drop them.
-            let workers = blocks.div_ceil(per_worker_blocks);
-            let parts = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let start = w * per_worker_blocks * SHOT_BLOCK;
-                        let end = ((w + 1) * per_worker_blocks * SHOT_BLOCK).min(self.shots);
-                        scope.spawn(move || {
-                            let mut part =
-                                ShotAccumulator::for_shot_range(n, self.shots, start, end);
-                            self.run_shot_range(
-                                faults,
-                                start..end,
-                                &mut part,
-                                &mut None,
-                                &mut TrajWorkspace::new(),
-                            );
-                            qufi_obs::flush();
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shot worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for part in &parts {
-                acc.absorb(part);
-            }
-        }
-        finish_trajectory_dist(acc.mean(), n, &self.model, &self.physical)
+        let dist = self.run_shots(faults, &mut scratch.traj_sv, &mut scratch.traj_ws);
+        scratch.traj_ws.flush_counts();
+        dist
     }
 
     /// Re-transpiles the marked circuit and recompiles the Kraus plan from
-    /// scratch, then runs every shot un-banked and un-split. The seed
-    /// streams are the same pure functions of `(point, fault angles,
-    /// shot)`, so this is **bit-identical** to the fast path — it
-    /// independently re-derives everything the prepare step amortizes
-    /// (transpilation, plan, prefix bank, scratch reuse, shot chunking).
+    /// scratch, then runs every shot un-banked. The seed streams are the
+    /// same pure functions of `(point, fault angles, shot)`, so this is
+    /// **bit-identical** to the fast path — it independently re-derives
+    /// everything the prepare step amortizes (transpilation, plan, prefix
+    /// bank, scratch reuse).
     fn replay_naive(&self, faults: &[FaultParams]) -> Result<ProbDist, ExecError> {
         let (physical, sites, _) = transpile_marked(self.transpiler, &self.marked, faults.len())?;
-        let n = physical.num_qubits();
         let naive = TrajectorySweep {
             transpiler: self.transpiler,
             marked: self.marked.clone(),
             plan: TrajPlan::compile(&physical, &self.model),
             prefix_pos: sites[0].index,
-            zero: Statevector::new(n).map_err(ExecError::Sim)?,
+            zero: Statevector::new(physical.num_qubits()).map_err(ExecError::Sim)?,
             physical,
             sites,
             model: self.model.clone(),
@@ -1412,20 +1238,7 @@ impl SiteSweep for TrajectorySweep<'_> {
             point_base: self.point_base,
             shots: self.shots,
         };
-        let mut acc = ShotAccumulator::new(n, self.shots);
-        naive.run_shot_range(
-            faults,
-            0..self.shots,
-            &mut acc,
-            &mut None,
-            &mut TrajWorkspace::new(),
-        );
-        Ok(finish_trajectory_dist(
-            acc.mean(),
-            n,
-            &naive.model,
-            &naive.physical,
-        ))
+        Ok(naive.run_shots(faults, &mut None, &mut TrajWorkspace::new()))
     }
 }
 
@@ -1627,29 +1440,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_shot_parallelism_is_bit_identical() {
-        // Shot workers only change scheduling: block-partial accumulators
-        // are absorbed in block order, so every worker count agrees bitwise.
-        // (Other tests may race on this env var; they assert bit-identity
-        // regardless of worker count, so the race is benign by design.)
-        let qc = bv();
-        let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 13, 256);
-        let prepared = ex.prepare(&qc, some_point()).unwrap();
-        let fault = FaultParams::shift(FRAC_PI_2, 0.3);
-        std::env::set_var("QUFI_TRAJ_SHOT_THREADS", "1");
-        let serial = prepared.replay(&[fault]).unwrap();
-        for workers in ["2", "3", "7"] {
-            std::env::set_var("QUFI_TRAJ_SHOT_THREADS", workers);
-            assert_bit_identical(
-                &prepared.replay(&[fault]).unwrap(),
-                &serial,
-                &format!("{workers} shot workers"),
-            );
-        }
-        std::env::remove_var("QUFI_TRAJ_SHOT_THREADS");
-    }
-
-    #[test]
     fn double_replay_enforces_fault_ordering() {
         // Every executor, on the fast and the naive path alike, rejects a
         // fault slice that breaks the §III-C order or does not match the
@@ -1677,13 +1467,6 @@ mod tests {
                     "{name}: case {i}, naive path"
                 );
             }
-            assert!(
-                matches!(
-                    double.replay_grid(&grid, 2),
-                    Err(ExecError::InvalidFault(_))
-                ),
-                "{name}: grid on a double sweep"
-            );
             assert!(
                 matches!(
                     double.replay_grid_batched(&grid, 2),
@@ -1768,7 +1551,7 @@ mod tests {
                 .map(|(t, p)| prepared.replay(&[FaultParams::shift(t, p)]).unwrap())
                 .collect();
             for threads in [1, 2, 4, 7] {
-                let cells = prepared.replay_grid(&grid, threads).unwrap();
+                let cells = prepared.replay_grid_batched(&grid, threads).unwrap();
                 assert_eq!(cells.len(), grid.len());
                 for (i, (cell, want)) in cells.iter().zip(&reference).enumerate() {
                     assert_bit_identical(cell, want, &format!("grid cell {i} at {threads}t"));
@@ -1778,7 +1561,7 @@ mod tests {
     }
 
     /// The parked snapshot is only borrowed: hammering one prepared sweep
-    /// from several threads at once — replay_grid against replay_grid
+    /// from several threads at once — grid replays against grid replays
     /// against single replays — must leave every later replay bit-identical
     /// to the pre-concurrency reference.
     #[test]
@@ -1789,13 +1572,13 @@ mod tests {
         let grid = FaultGrid::coarse();
         let probe = FaultParams::shift(FRAC_PI_2, PI);
         let before = prepared.replay(&[probe]).unwrap();
-        let grid_before = prepared.replay_grid(&grid, 1).unwrap();
+        let grid_before = prepared.replay_grid_batched(&grid, 1).unwrap();
 
         let prepared = &*prepared;
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
-                    let cells = prepared.replay_grid(&grid, 2).unwrap();
+                    let cells = prepared.replay_grid_batched(&grid, 2).unwrap();
                     for (cell, want) in cells.iter().zip(&grid_before) {
                         assert_bit_identical(cell, want, "concurrent grid");
                     }
@@ -1847,30 +1630,29 @@ mod tests {
 
     #[test]
     fn replay_grid_batched_matches_scalar_bitwise() {
-        // Bit-identity must hold for every batch width, thread count and
-        // grid shape — including a grid with θ-duplicate cells (hoisted
-        // trig run), a ragged grid (len not a multiple of the width) and a
-        // single-cell grid (which takes the scalar path). (Other tests may
-        // race on the env var; every assertion here holds for any width,
-        // so the race is benign by design.)
+        // Bit-identity with per-cell replays must hold for every executor,
+        // batch width, thread count and grid shape — including θ-duplicate
+        // cells (hoisted trig run), a ragged 7-cell grid (len not a
+        // multiple of the width), a one-cell grid and an empty grid, which
+        // replay cell by cell. (Other tests may race on the env var; every
+        // assertion here holds for any width, so the race is benign by
+        // design.)
         let qc = bv();
         let grids = [
+            FaultGrid::paper(),
             FaultGrid::coarse(),
-            FaultGrid::custom(vec![0.0, 0.7, 0.7, 2.1, PI], vec![0.0, 1.3, 5.0]),
+            FaultGrid::custom(vec![0.0, 0.7, 2.1, 0.7, PI, 1.9, 0.7], vec![1.3]),
             FaultGrid::custom(vec![FRAC_PI_2], vec![PI]),
+            FaultGrid::custom(vec![], vec![0.0]),
         ];
-        for prepared in [
-            IdealExecutor.prepare(&qc, some_point()).unwrap(),
-            NoisyExecutor::new(BackendCalibration::lima())
-                .prepare(&qc, some_point())
-                .unwrap(),
-            HardwareExecutor::new(BackendCalibration::jakarta(), 3)
-                .prepare(&qc, some_point())
-                .unwrap(),
-        ] {
+        for (name, ex) in executors() {
+            let prepared = ex.prepare(&qc, some_point()).unwrap();
             for grid in &grids {
-                let reference = prepared.replay_grid(grid, 1).unwrap();
-                for width in ["1", "3", "8", "16"] {
+                let reference: Vec<ProbDist> = grid
+                    .iter()
+                    .map(|(t, p)| prepared.replay(&[FaultParams::shift(t, p)]).unwrap())
+                    .collect();
+                for width in ["1", "3", "16"] {
                     std::env::set_var("QUFI_BATCH_CELLS", width);
                     for threads in [1, 2, 4] {
                         let cells = prepared.replay_grid_batched(grid, threads).unwrap();
@@ -1879,7 +1661,7 @@ mod tests {
                             assert_bit_identical(
                                 cell,
                                 want,
-                                &format!("batched cell {i} w={width} t={threads}"),
+                                &format!("{name} cell {i} w={width} t={threads}"),
                             );
                         }
                     }
@@ -1891,17 +1673,17 @@ mod tests {
 
     #[test]
     fn trajectory_replay_grid_batched_falls_back_to_scalar() {
-        // The trajectory scenario has no batched path: the batched entry
-        // point must transparently produce the scalar grid result.
+        // The trajectory scenario has no batched path: the grid entry
+        // point must transparently replay it cell by cell.
         let qc = bv();
         let ex = TrajectoryExecutor::with_shots(BackendCalibration::jakarta(), 11, 64);
         let prepared = ex.prepare(&qc, some_point()).unwrap();
         let grid = FaultGrid::custom(vec![0.0, PI], vec![0.3]);
         let batched = prepared.replay_grid_batched(&grid, 2).unwrap();
-        let scalar = prepared.replay_grid(&grid, 1).unwrap();
-        assert_eq!(batched.len(), scalar.len());
-        for (cell, want) in batched.iter().zip(&scalar) {
-            assert_bit_identical(cell, want, "trajectory fallback");
+        assert_eq!(batched.len(), grid.len());
+        for (cell, (theta, phi)) in batched.iter().zip(grid.iter()) {
+            let want = prepared.replay(&[FaultParams::shift(theta, phi)]).unwrap();
+            assert_bit_identical(cell, &want, "trajectory fallback");
         }
     }
 
@@ -1910,7 +1692,7 @@ mod tests {
         let qc = bv();
         let prepared = IdealExecutor.prepare(&qc, some_point()).unwrap();
         let empty = FaultGrid::custom(vec![], vec![0.0]);
-        assert!(prepared.replay_grid(&empty, 4).unwrap().is_empty());
+        assert!(prepared.replay_grid_batched(&empty, 4).unwrap().is_empty());
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub mod serialize;
 pub mod shard;
 
 pub use campaign::{
-    golden_outputs, run_point_sweep, run_point_sweep_parallel, run_single_campaign,
-    split_thread_budget, CampaignOptions, CampaignResult, CampaignStats, InjectionRecord,
+    golden_outputs, run_point_sweep, run_single_campaign, split_thread_budget, CampaignOptions,
+    CampaignResult, CampaignStats, InjectionRecord,
 };
 pub use double::{DoubleCampaignResult, DoubleInjectionRecord, DoubleOptions};
 pub use engine::{PreparedSweep, ReplayScratch, SweepExecutor};
@@ -93,8 +93,7 @@ pub use retry::Backoff;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::campaign::{
-        golden_outputs, run_point_sweep, run_point_sweep_parallel, run_single_campaign,
-        split_thread_budget, CampaignOptions,
+        golden_outputs, run_point_sweep, run_single_campaign, split_thread_budget, CampaignOptions,
     };
     pub use crate::double::{run_double_campaign, DoubleOptions};
     pub use crate::engine::{PreparedSweep, SweepExecutor};

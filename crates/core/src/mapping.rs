@@ -257,7 +257,6 @@ mod tests {
                 grid: FaultGrid::coarse(),
                 points: None,
                 threads: 0,
-                naive: false,
             },
         )
         .expect("campaign")

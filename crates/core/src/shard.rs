@@ -4,9 +4,9 @@
 //!
 //! A **work unit** is one (job, injection point) — the same granularity
 //! the single-node scheduler uses, so a unit's records are produced by
-//! one deterministic [`run_point_sweep_parallel`] call and two workers
-//! that accidentally both execute a unit produce bit-identical records
-//! (which the merge layer deduplicates). Units are enumerated in
+//! one deterministic [`run_point_sweep`] call, bit-identical at any grid
+//! thread count, and two workers that accidentally both execute a unit
+//! produce bit-identical records (which the merge layer deduplicates). Units are enumerated in
 //! canonical order (jobs in matrix order, points in enumeration order),
 //! so unit ids are stable across replans of the same manifest.
 //!
@@ -18,7 +18,7 @@
 //! Both paths are fully deterministic: ties break on unit index, never
 //! on iteration order of a hash map or on wall-clock anything.
 //!
-//! [`run_point_sweep_parallel`]: crate::campaign::run_point_sweep_parallel
+//! [`run_point_sweep`]: crate::campaign::run_point_sweep
 
 use crate::fault::InjectionPoint;
 

@@ -1,14 +1,16 @@
 //! A double-fault campaign's records are bit-identical for every worker
-//! count, and against the naive rebuild-per-configuration oracle, on every
-//! executor: the point pool and the per-worker replay scratch change
-//! scheduling and allocation only.
+//! count, and against the naive rebuild-per-configuration oracle
+//! ([`PreparedSweep::replay_naive`]), on every executor: the point pool
+//! and the per-worker replay scratch change scheduling and allocation
+//! only.
 
 use qufi_algos::bernstein_vazirani;
 use qufi_core::double::{neighbor_pairs, run_double_campaign, DoubleOptions};
-use qufi_core::fault::{FaultGrid, InjectionPoint};
+use qufi_core::fault::{FaultGrid, FaultParams, InjectionPoint};
+use qufi_core::metrics::qvf_from_dist;
 use qufi_core::{
-    DoubleInjectionRecord, HardwareExecutor, IdealExecutor, NoisyExecutor, SweepExecutor,
-    TrajectoryExecutor,
+    DoubleInjectionRecord, HardwareExecutor, IdealExecutor, NoisyExecutor, PreparedSweep,
+    SweepExecutor, TrajectoryExecutor,
 };
 use qufi_noise::BackendCalibration;
 use qufi_transpile::{CouplingMap, OptimizationLevel, Transpiler};
@@ -65,26 +67,48 @@ fn double_campaign_is_thread_and_oracle_invariant_on_every_executor() {
         ),
     ];
     for (name, executor) in &executors {
-        let run = |threads, naive| {
+        let run = |threads| {
             let options = DoubleOptions {
                 grid: FaultGrid::coarse(),
                 points: Some(points.clone()),
                 pairs: pairs.clone(),
                 threads,
-                naive,
             };
             run_double_campaign(&w.circuit, &w.correct_outputs, &executor.as_ref(), &options)
                 .unwrap()
+                .records
         };
-        let reference = bits(&run(1, false).records);
+        let records = run(1);
+        let reference = bits(&records);
         assert!(!reference.is_empty(), "{name}: no double injections");
         for threads in [2, 4] {
-            assert_eq!(
-                bits(&run(threads, false).records),
-                reference,
-                "{name}: {threads} threads"
-            );
+            assert_eq!(bits(&run(threads)), reference, "{name}: {threads} threads");
         }
-        assert_eq!(bits(&run(2, true).records), reference, "{name}: naive");
+        // Every record re-derived through the naive oracle, one fresh
+        // two-site preparation per (point, neighbor).
+        let mut prepared: Option<((InjectionPoint, usize), Box<dyn PreparedSweep + '_>)> = None;
+        let naive: Vec<DoubleInjectionRecord> = records
+            .iter()
+            .map(|r| {
+                let key = (r.point, r.neighbor);
+                if prepared.as_ref().is_none_or(|(k, _)| *k != key) {
+                    let sweep = executor
+                        .prepare_sites(&w.circuit, r.point, Some(r.neighbor))
+                        .unwrap();
+                    prepared = Some((key, sweep));
+                }
+                let (_, sweep) = prepared.as_ref().unwrap();
+                let faults = [
+                    FaultParams::shift(r.theta0, r.phi0),
+                    FaultParams::shift(r.theta1, r.phi1),
+                ];
+                let dist = sweep.replay_naive(&faults).unwrap();
+                DoubleInjectionRecord {
+                    qvf: qvf_from_dist(&dist, &w.correct_outputs),
+                    ..*r
+                }
+            })
+            .collect();
+        assert_eq!(bits(&naive), reference, "{name}: naive");
     }
 }

@@ -1,4 +1,4 @@
-//! The TCP front end: a nonblocking accept loop feeding per-connection
+//! The TCP front end: a blocking accept loop feeding per-connection
 //! threads, each reading newline-delimited JSON frames under a byte cap
 //! and a read deadline. Degradation is graded, never silent:
 //!
@@ -15,13 +15,14 @@ use crate::store::{atomic_write, Store};
 use crate::worker;
 use crate::{protocol, Config, JobHandler};
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// How often the accept loop re-checks the drain flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// Pause after a failed `accept` (EMFILE and the like), so a persistent
+/// failure does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// A running daemon. Construct with [`Server::start`], block on
 /// [`Server::wait`]; a `shutdown` protocol op ends the wait.
@@ -45,7 +46,6 @@ impl Server {
         let store = Store::open(&cfg.dir)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         atomic_write(&cfg.dir.join("serve.addr"), addr.to_string().as_bytes())?;
         qufi_obs::log::info(&format!("serve: listening on {addr}"));
 
@@ -66,7 +66,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::Builder::new()
             .name("qufi-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared))
+            .spawn(move || accept_loop(&listener, &accept_shared, wake_addr(addr)))
             .expect("spawn accept thread");
 
         Ok(Server {
@@ -108,13 +108,28 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// Where a shutdown connects to wake the blocking accept loop: the bound
+/// address, with an unspecified IP replaced by loopback.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+/// Blocks in `accept` until a connection arrives. A `shutdown` sets the
+/// drain flag, then connects once to `wake` (see [`handle_conn`]), so the
+/// loop sees the flag without polling.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, wake: SocketAddr) {
     loop {
+        let accepted = listener.accept();
         if shared.draining() {
-            qufi_obs::flush();
-            return;
+            break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if !shared.conn_acquire() {
                     // Shed at the door: answer, then close. Writes are
@@ -126,7 +141,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let spawned = thread::Builder::new()
                     .name("qufi-serve-conn".to_string())
                     .spawn(move || {
-                        handle_conn(stream, &conn_shared);
+                        handle_conn(stream, &conn_shared, wake);
                         conn_shared.conn_release();
                         qufi_obs::flush();
                     });
@@ -140,10 +155,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     qufi_obs::log::warn(&format!("serve: connection thread spawn failed: {e}"));
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
+    qufi_obs::flush();
 }
 
 fn shed_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -196,13 +211,16 @@ fn read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>, cap: usize) -> Frame {
     }
 }
 
-fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
+/// Serves one connection's frames until it closes. After answering a
+/// `shutdown`, it wakes the accept loop at `wake`.
+fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>, wake: SocketAddr) {
     let _ = stream.set_read_timeout(Some(shared.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
     // One-line replies must not wait out Nagle + delayed ACK.
     let _ = stream.set_nodelay(true);
     let mut buf = Vec::new();
     loop {
+        let mut shutdown = false;
         let response = match read_frame(&mut stream, &mut buf, shared.cfg.max_request) {
             Frame::Eof => return,
             Frame::Torn => {
@@ -235,10 +253,20 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
                     qufi_obs::add("serve.req.bad", 1);
                     protocol::error("bad_request", &message)
                 }
-                Ok(request) => dispatch(shared, request),
+                Ok(request) => {
+                    shutdown = matches!(request, protocol::Request::Shutdown { .. });
+                    dispatch(shared, request)
+                }
             },
         };
-        if stream.write_all(response.as_bytes()).is_err() {
+        let written = stream.write_all(response.as_bytes());
+        if shutdown {
+            // The reply is written first, so the drain that follows cannot
+            // end the process before it. A failed connect means the loop
+            // already exited on an earlier shutdown.
+            let _ = TcpStream::connect_timeout(&wake, shared.cfg.io_timeout);
+        }
+        if written.is_err() {
             return;
         }
     }

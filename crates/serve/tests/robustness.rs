@@ -194,6 +194,9 @@ fn flood_sheds_with_overloaded_and_health_stays_responsive() {
     // One long job occupies the worker; then flood distinct manifests.
     let blocker = client.submit("name=blocker\nsleep_ms=60000").unwrap();
     let blocker_id = str_field(&blocker, "job").to_string();
+    client
+        .wait_for(&blocker_id, &["running"], Duration::from_secs(5))
+        .unwrap();
     let mut shed = 0;
     let mut admitted = Vec::new();
     for i in 0..10 {
@@ -504,4 +507,30 @@ fn drain_stops_admissions_and_persists_queued_jobs() {
     assert_eq!(by_id(&running), JobState::Done);
     assert_eq!(by_id(&queued), JobState::Queued);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn shutdown_wakes_an_idle_daemon() {
+    // The accept loop blocks in `accept`; a shutdown must wake it, on a
+    // loopback bind and on an unspecified one, so `wait` returns. The
+    // guard is generous: it catches a hang, not a slow wake.
+    for (tag, addr) in [("idle-lo", "127.0.0.1:0"), ("idle-any", "0.0.0.0:0")] {
+        let mut cfg = config(tag);
+        cfg.addr = addr.to_string();
+        let dir = cfg.dir.clone();
+        let server = Server::start(cfg, StubHandler::new()).expect("server starts");
+        let loopback = ("127.0.0.1", server.addr().port());
+        let mut client = Client::connect(loopback, Duration::from_secs(2)).unwrap();
+        let reply = client.shutdown(true).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(true)), "{tag}");
+        let (done, waited) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || done.send(server.wait().is_ok()));
+        assert_eq!(
+            waited.recv_timeout(Duration::from_secs(10)),
+            Ok(true),
+            "{tag}: wait did not return"
+        );
+        waiter.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

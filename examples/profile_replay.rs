@@ -14,11 +14,12 @@ fn main() {
         prepared.suffix_gates()
     );
     let grid = FaultGrid::paper();
-    // serial replays with reused scratch via replay_grid(1)
+    // serial cell-by-cell replays with reused scratch: width-1 blocks
+    std::env::set_var("QUFI_BATCH_CELLS", "1");
     let t = Instant::now();
-    let cells = prepared.replay_grid(&grid, 1).unwrap();
+    let cells = prepared.replay_grid_batched(&grid, 1).unwrap();
     println!(
-        "replay_grid t1: {:?} for {} cells -> {:?}/cell",
+        "replay_grid_batched w1 t1: {:?} for {} cells -> {:?}/cell",
         t.elapsed(),
         cells.len(),
         t.elapsed() / cells.len() as u32

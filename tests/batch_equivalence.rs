@@ -2,9 +2,9 @@
 //!
 //! The engine's contract: replaying a fault grid through the batched
 //! cell-major block path ([`PreparedSweep::replay_grid_batched`]) is
-//! **bit-identical** to the scalar per-cell path
-//! ([`PreparedSweep::replay_grid`], itself pinned against the naive oracle
-//! by `fork_equivalence.rs`) — for every registry workload family, every
+//! **bit-identical** to replaying it cell by cell
+//! ([`PreparedSweep::replay`], itself pinned against the naive oracle by
+//! `fork_equivalence.rs`) — for every registry workload family, every
 //! scenario with a batched path (ideal, noisy, fixed-seed hardware), every
 //! batch width, every thread count, and every grid shape including ragged
 //! grids whose size is not a multiple of the width and single-cell grids
@@ -14,7 +14,7 @@
 //! parallel threads, so tests may observe each other's widths. That race
 //! is benign by design: every assertion here holds for *any* width.
 
-use qufi::core::engine::SweepExecutor;
+use qufi::core::engine::{PreparedSweep, SweepExecutor};
 use qufi::prelude::*;
 
 /// One 3-qubit instance of every registry family — wide enough to exercise
@@ -42,6 +42,18 @@ fn assert_bit_identical(a: &ProbDist, b: &ProbDist, what: &str) {
     }
 }
 
+/// The per-cell reference: one [`PreparedSweep::replay`] per cell, in
+/// grid order.
+fn per_cell(prepared: &dyn PreparedSweep, grid: &FaultGrid) -> Vec<ProbDist> {
+    grid.iter()
+        .map(|(theta, phi)| {
+            prepared
+                .replay(&[FaultParams::shift(theta, phi)])
+                .expect("replay")
+        })
+        .collect()
+}
+
 /// A mid-circuit injection point: representative prefix/suffix balance.
 fn mid_point(qc: &QuantumCircuit) -> InjectionPoint {
     let points = enumerate_injection_points(qc);
@@ -63,7 +75,7 @@ fn assert_workload_grids_match<E: SweepExecutor>(
         let prepared = ex
             .prepare(&w.circuit, mid_point(&w.circuit))
             .unwrap_or_else(|e| panic!("{label}/{}: prepare: {e}", w.name));
-        let scalar = prepared.replay_grid(grid, 1).expect("scalar grid");
+        let scalar = per_cell(&*prepared, grid);
         let batched = prepared
             .replay_grid_batched(grid, threads)
             .expect("batched grid");
@@ -128,14 +140,14 @@ fn batched_ragged_grids_match_scalar_across_widths_and_threads() {
     let ideal = IdealExecutor;
     let noisy = NoisyExecutor::new(BackendCalibration::jakarta());
     let hw = HardwareExecutor::new(BackendCalibration::jakarta(), 7);
-    let prepared: Vec<Box<dyn qufi::core::engine::PreparedSweep + '_>> = vec![
+    let prepared: Vec<Box<dyn PreparedSweep + '_>> = vec![
         ideal.prepare(&w.circuit, mid_point(&w.circuit)).unwrap(),
         noisy.prepare(&w.circuit, mid_point(&w.circuit)).unwrap(),
         hw.prepare(&w.circuit, mid_point(&w.circuit)).unwrap(),
     ];
     for (e, p) in prepared.iter().enumerate() {
         for grid in &grids {
-            let scalar = p.replay_grid(grid, 1).expect("scalar grid");
+            let scalar = per_cell(&**p, grid);
             for width in ["1", "4", "8", "16"] {
                 std::env::set_var("QUFI_BATCH_CELLS", width);
                 for threads in [1usize, 2, 4] {
@@ -165,7 +177,6 @@ fn campaign_records_are_identical_with_batching_on_and_off() {
         grid: FaultGrid::coarse(),
         points: None,
         threads: 0,
-        naive: false,
     };
     std::env::set_var("QUFI_BATCH_CELLS", "8");
     let batched = run_single_campaign(

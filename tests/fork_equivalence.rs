@@ -79,8 +79,10 @@ fn hardware_forked_sweep_matches_naive_oracle() {
     assert_executor_equivalence(&ex, "hardware-jakarta");
 }
 
-/// Whole-campaign check: the `CampaignOptions::naive` oracle path and the
-/// default forked path must export byte-identical JSON and CSV artifacts.
+/// Whole-campaign check: a campaign rebuilt from the naive oracle — every
+/// configuration of every point through [`PreparedSweep::replay_naive`] —
+/// and the default forked campaign must export byte-identical JSON and CSV
+/// artifacts.
 ///
 /// Takes an executor *factory*: the hardware scenario's fault-free baseline
 /// draws from the executor's shared RNG stream, so each campaign gets a
@@ -91,14 +93,35 @@ fn assert_campaign_export_identical<E: SweepExecutor>(
     label: &str,
 ) {
     let golden = golden_outputs(&w.circuit).expect("golden");
-    let mk = |naive| CampaignOptions {
+    let options = CampaignOptions {
         grid: coarse(),
         points: None,
         threads: 0,
-        naive,
     };
-    let forked = run_single_campaign(&w.circuit, &golden, &make(), &mk(false)).expect("forked");
-    let naive = run_single_campaign(&w.circuit, &golden, &make(), &mk(true)).expect("naive");
+    let forked = run_single_campaign(&w.circuit, &golden, &make(), &options).expect("forked");
+    let ex = make();
+    let baseline = qvf_from_dist(&ex.execute(&w.circuit).expect("baseline"), &golden);
+    let mut records = Vec::new();
+    for point in enumerate_injection_points(&w.circuit) {
+        let prepared = ex.prepare(&w.circuit, point).expect("prepare");
+        for (theta, phi) in options.grid.iter() {
+            let fault = FaultParams::shift(theta, phi);
+            let dist = prepared.replay_naive(&[fault]).expect("naive replay");
+            records.push(InjectionRecord {
+                point,
+                theta,
+                phi,
+                qvf: qvf_from_dist(&dist, &golden),
+            });
+        }
+    }
+    let naive = CampaignResult::from_parts(
+        w.circuit.name.clone(),
+        golden.clone(),
+        baseline,
+        options.grid.clone(),
+        records,
+    );
     assert_eq!(
         forked.records.len(),
         naive.records.len(),

@@ -15,7 +15,6 @@ fn campaign(w: &Workload, ex: &impl SweepExecutor, grid: FaultGrid) -> CampaignR
         grid,
         points: None,
         threads: 0,
-        naive: false,
     };
     run_single_campaign(&w.circuit, &w.correct_outputs, ex, &opts).expect("campaign")
 }
@@ -113,7 +112,6 @@ fn qft_concentrates_with_scale_bv_does_not() {
             grid: grid.clone(),
             points: Some(points),
             threads: 0,
-            naive: false,
         };
         run_single_campaign(&w.circuit, &w.correct_outputs, &ex, &opts)
             .expect("campaign")
@@ -154,7 +152,6 @@ fn double_faults_are_worse_than_single_faults() {
             points: None,
             pairs,
             threads: 0,
-            naive: false,
         },
     )
     .expect("double campaign");
@@ -182,7 +179,6 @@ fn hardware_and_simulation_agree() {
             grid,
             points: None,
             threads: 0,
-            naive: false,
         };
         let a = run_single_campaign(&w.circuit, &w.correct_outputs, &hw, &opts)
             .expect("hw campaign")
